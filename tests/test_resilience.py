@@ -3,6 +3,8 @@ byte-identity, retry/hedge/deadline accounting, crash-time aborts,
 retry-budget monotonicity, fault domains and placement, and the
 vectorized-kernel fallback gate."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.chaos import (
     CorrelatedFailure,
     FaultDomain,
     FaultSchedule,
+    HealingPolicy,
     HostCrash,
     NetworkSpike,
     StragglerShard,
@@ -377,40 +380,41 @@ class TestHedging:
             )
 
 
+def crash_mid_flight(resilience=None):
+    """A mid-service crash on a straggling shard.
+
+    A heavy straggler stretches shard-0 service segments so the crash
+    lands while attempts are *in service* (not just on the wire): those
+    attempts must abort at a segment boundary and fail over, never
+    complete on the dead host.
+    """
+    model, plan, requests, schedule = open_loop_inputs(60, qps=200.0)
+    chaos = FaultSchedule(
+        experiments=(
+            StragglerShard(shard=0, start=0.0, duration=0.4, multiplier=200.0),
+            HostCrash(shard=0, at=0.05),
+        ),
+        replicas=2,
+    )
+    result = run_configuration(
+        model, plan, requests,
+        ServingConfig(
+            trace_mode=TraceMode.AGGREGATE, chaos=chaos, resilience=resilience
+        ),
+        schedule,
+    )
+    return requests, result
+
+
 class TestCrashAborts:
     """Satellite: in-flight RPCs on a crashed host abort instead of
     silently completing."""
-
-    def _crash_mid_flight(self, resilience=None):
-        # A heavy straggler stretches shard-0 service segments so the
-        # crash lands while attempts are *in service* (not just on the
-        # wire): those attempts must abort at a segment boundary and
-        # fail over, never complete on the dead host.
-        model, plan, requests, schedule = open_loop_inputs(60, qps=200.0)
-        chaos = FaultSchedule(
-            experiments=(
-                StragglerShard(
-                    shard=0, start=0.0, duration=0.4, multiplier=200.0
-                ),
-                HostCrash(shard=0, at=0.05),
-            ),
-            replicas=2,
-        )
-        result = run_configuration(
-            model, plan, requests,
-            ServingConfig(
-                trace_mode=TraceMode.AGGREGATE, chaos=chaos,
-                resilience=resilience,
-            ),
-            schedule,
-        )
-        return requests, result
 
     @pytest.mark.parametrize(
         "resilience", [None, RETRY_POLICY], ids=["no-policy", "policy"]
     )
     def test_mid_service_crash_aborts_and_retries(self, resilience):
-        requests, result = self._crash_mid_flight(resilience)
+        requests, result = crash_mid_flight(resilience)
         assert result.aborted_rpcs > 0
         assert (result.retries > 0).any()
         # Aborted attempts fail over to the live replica: nothing is
@@ -567,3 +571,94 @@ class TestFaultDomains:
         ]
         assert crash_times
         assert all(0.1 <= t <= 0.15 + 1e-12 for t in crash_times)
+
+
+# -- golden pin ---------------------------------------------------------------
+
+def _faulted_replay(chaos, resilience=None):
+    model, plan, requests, schedule = open_loop_inputs(60, qps=200.0)
+    return run_configuration(
+        model, plan, requests,
+        ServingConfig(chaos=chaos, resilience=resilience),
+        schedule,
+    )
+
+
+def _crash_with_healing(replicas):
+    return _faulted_replay(
+        FaultSchedule(
+            experiments=(HostCrash(shard=0, at=0.1),),
+            replicas=replicas,
+            healing=HealingPolicy(check_interval=0.05, recovery_lag=0.1),
+        )
+    )
+
+
+#: A domain crash with every shard's replicas striped across 2 domains,
+#: under network spikes that keep RPCs on the wire long enough to
+#: arrive at a freshly crashed host: dead-on-arrival attempts fail over
+#: to the survivor.  Under ``RETRY_POLICY`` the short first spike makes
+#: timeout retries that win, and the longer second one drains the retry
+#: budget, so requests whose attempts died degrade.
+SPREAD_DOMAIN_CRASH = FaultSchedule(
+    experiments=(
+        CorrelatedFailure(domain=0, at=0.1, stagger=0.05),
+        NetworkSpike(start=0.11, duration=0.005, extra_latency=10e-3),
+        NetworkSpike(start=0.12, duration=0.03, extra_latency=3e-3),
+    ),
+    replicas=2,
+    domains=2,
+    placement="spread",
+)
+
+#: Each case replays a list of faulted runs; see ``_replay_digest``.
+GOLDEN_REPLAYS = {
+    "crash-healing": lambda: [_crash_with_healing(1), _crash_with_healing(2)],
+    "mid-service-crash": lambda: [crash_mid_flight()[1]],
+    "domain-crash-spread": lambda: [_faulted_replay(SPREAD_DOMAIN_CRASH)],
+    "domain-crash-spread-retry": lambda: [
+        _faulted_replay(SPREAD_DOMAIN_CRASH, RETRY_POLICY)
+    ],
+}
+
+#: Recorded from the replays above; a digest moves only if a faulted
+#: replay's values move.
+GOLDEN_DIGESTS = {
+    "crash-healing": "2b849f3b5039358fd43a37598a54d63e50005f45cd2979c9f6fe948578c50505",
+    "domain-crash-spread": "45024801809c22fd2c9f4ed969ffca2b9355efd1db20c4ad807f007d50884bd8",
+    "domain-crash-spread-retry": "4f669df3019afd1085d90a2db996f6f551e034ac38b3f096a35f07988d957e16",
+    "mid-service-crash": "ecb10f8e2b6673d597cc3fb25a9688535cf9d922f01a24aaa47eace800f4d83b",
+}
+
+_DIGEST_COLUMNS = (
+    "e2e", "cpu", "request_ids", "status", "retries",
+    "attempts", "hedged", "deadline_exceeded",
+)
+_DIGEST_FIELDS = (
+    "aborted_rpcs", "incomplete_requests", "resilience_stats",
+    "chaos_timeline",
+)
+
+
+def _replay_digest(results) -> str:
+    digest = hashlib.sha256()
+    for result in results:
+        for name in _DIGEST_COLUMNS:
+            column = np.ascontiguousarray(getattr(result, name))
+            digest.update(f"{name}:{column.dtype.str}:{column.shape}".encode())
+            digest.update(column.tobytes())
+        for name in _DIGEST_FIELDS:
+            digest.update(f"{name}:{getattr(result, name)!r}".encode())
+    return digest.hexdigest()
+
+
+class TestFaultedReplayGolden:
+    """Pins the exact values of faulted replays on both RPC supervisors:
+    the no-policy failover path (crash + healing, mid-service abort,
+    domain crash) and the policy-supervised path (domain crash under
+    retries).  A change to either that moves any column, counter or
+    timeline entry changes a digest."""
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_REPLAYS))
+    def test_digest_is_pinned(self, case):
+        assert _replay_digest(GOLDEN_REPLAYS[case]()) == GOLDEN_DIGESTS[case]
