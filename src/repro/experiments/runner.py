@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -510,17 +512,41 @@ def run_configuration(
         # the result adopts them, so don't preallocate a second set here.
         expected_requests=0 if aggregate else len(requests),
     )
+    if schedule.mode is ReplayMode.SERIAL:
+        replay = partial(cluster.run_serial, requests)
+    else:
+        replay = partial(cluster.run_open_loop, requests, schedule)
+    return _replay_into(result, cluster, replay, kernel_fallback)
 
+
+def _replay_into(
+    result: RunResult,
+    cluster: ClusterSimulation,
+    replay: Callable[[], None],
+    kernel_fallback: str | None,
+    workload_ids: np.ndarray | None = None,
+) -> RunResult:
+    """Attribute every completion of ``replay()`` into ``result``.
+
+    Shared by the single-model and co-located runners.  ``workload_ids``
+    maps request ids to workload indices; ``None`` reads as workload 0
+    for every request, as in :meth:`AggregatingTracer.finalize_request`.
+    """
     tracer = cluster.tracer
     chaos_flags = cluster.chaos_flags
     res_flags = cluster.resilience_flags
     if isinstance(tracer, AggregatingTracer):
+        tracer.workload_ids = workload_ids
         tracer.chaos_flags = chaos_flags
         tracer.resilience_flags = res_flags
         cluster.on_complete = tracer.finalize_request
     elif chaos_flags is None and res_flags is None:
+        # The healthy hot path: no per-request flag lookups.
         def on_complete(request_id: int) -> None:
-            result.add(attribute_request(tracer.pop_request(request_id)))
+            result.add(
+                attribute_request(tracer.pop_request(request_id)),
+                workload=0 if workload_ids is None else int(workload_ids[request_id]),
+            )
 
         cluster.on_complete = on_complete
     else:
@@ -529,6 +555,7 @@ def run_configuration(
             rflags = res_flags.get(request_id) if res_flags else None
             result.add(
                 attribute_request(tracer.pop_request(request_id)),
+                workload=0 if workload_ids is None else int(workload_ids[request_id]),
                 degraded=flags[0] if flags else 0,
                 retries=flags[1] if flags else 0,
                 attempts=rflags[0] if rflags else 0,
@@ -537,13 +564,10 @@ def run_configuration(
             )
 
         cluster.on_complete = on_complete
-    if schedule.mode is ReplayMode.SERIAL:
-        cluster.run_serial(requests)
-    else:
-        cluster.run_open_loop(requests, schedule)
+    replay()
     if isinstance(tracer, AggregatingTracer):
         result.adopt_aggregate(tracer)
-    result.kernel_used = serving.kernel
+    result.kernel_used = cluster.config.kernel
     result.kernel_fallback = kernel_fallback
     result.incomplete_requests = tuple(cluster.dropped_requests)
     result.chaos_timeline = cluster.chaos_timeline
@@ -689,48 +713,10 @@ def run_mix_configuration(
         workload_labels=mix.labels(),
         plans=plans,
     )
-    workload_ids = stream.workload_ids
-    tracer = cluster.tracer
-    chaos_flags = cluster.chaos_flags
-    res_flags = cluster.resilience_flags
-    if isinstance(tracer, AggregatingTracer):
-        tracer.workload_ids = workload_ids
-        tracer.chaos_flags = chaos_flags
-        tracer.resilience_flags = res_flags
-        cluster.on_complete = tracer.finalize_request
-    elif chaos_flags is None and res_flags is None:
-        def on_complete(request_id: int) -> None:
-            result.add(
-                attribute_request(tracer.pop_request(request_id)),
-                workload=int(workload_ids[request_id]),
-            )
-
-        cluster.on_complete = on_complete
-    else:
-        def on_complete(request_id: int) -> None:
-            flags = chaos_flags.get(request_id) if chaos_flags else None
-            rflags = res_flags.get(request_id) if res_flags else None
-            result.add(
-                attribute_request(tracer.pop_request(request_id)),
-                workload=int(workload_ids[request_id]),
-                degraded=flags[0] if flags else 0,
-                retries=flags[1] if flags else 0,
-                attempts=rflags[0] if rflags else 0,
-                hedged=rflags[1] if rflags else 0,
-                deadline_exceeded=rflags[2] if rflags else 0,
-            )
-
-        cluster.on_complete = on_complete
-    cluster.run_stream(stream)
-    if isinstance(tracer, AggregatingTracer):
-        result.adopt_aggregate(tracer)
-    result.kernel_used = serving.kernel
-    result.kernel_fallback = kernel_fallback
-    result.incomplete_requests = tuple(cluster.dropped_requests)
-    result.chaos_timeline = cluster.chaos_timeline
-    result.resilience_stats = cluster.resilience_stats
-    result.aborted_rpcs = cluster.chaos_aborted
-    return result
+    return _replay_into(
+        result, cluster, partial(cluster.run_stream, stream), kernel_fallback,
+        workload_ids=stream.workload_ids,
+    )
 
 
 def mix_stream(mix: "WorkloadMix", settings: SuiteSettings) -> "MixedStream":

@@ -498,10 +498,12 @@ class ClusterSimulation:
                 self.engine,
                 substream(self.config.seed, "resilience", *cluster_key),
             )
-        #: RPC spawn override for _run_batch: ``None`` keeps the default
-        #: :meth:`_rpc` (byte-identical historical path).
+        #: RPC supervisor the reference request path spawns per shard
+        #: call: :meth:`_rpc_resilient` under an active policy, else the
+        #: inline failover loop :meth:`_rpc`.  Both drive the one RPC
+        #: body, :meth:`_rpc_attempt`.
         self._rpc_spawn = (
-            self._rpc_resilient if self._resilience is not None else None
+            self._rpc_resilient if self._resilience is not None else self._rpc
         )
         self.tenants = [
             _Tenant(index, model, plan, self.config)
@@ -878,7 +880,7 @@ class ClusterSimulation:
         request: Request,
         batch: _Batch,
         plans: dict[str, list[_NetBatchPlan]],
-        rpc: Callable | None = None,
+        rpc: Callable,
     ):
         engine, cm, main = self.engine, self.config.cost_model, self.main
         record = self._record
@@ -950,13 +952,12 @@ class ClusterSimulation:
         bindex: int,
         net_name: str,
         targets: list[_ShardLookups],
-        rpc: Callable | None = None,
+        rpc: Callable,
     ):
         """Distributed: serialize + issue async RPCs, wait, deserialize."""
         engine, main = self.engine, self.main
         record = self._record
         rid = request.request_id
-        spawn = self._rpc if rpc is None else rpc
         t_embedded = engine.now
         responses = []
         for target in targets:
@@ -968,7 +969,7 @@ class ClusterSimulation:
                 t0, engine.now, ser_total, None, net_name, bindex,
             )
             responses.append(
-                engine.process(spawn(request, bindex, net_name, target))
+                engine.process(rpc(request, bindex, net_name, target))
             )
         if not responses:
             # Every candidate shard was inactive for this batch; the RPC ops
@@ -989,26 +990,21 @@ class ClusterSimulation:
         net_name: str,
         target: _ShardLookups,
     ):
-        """One remote call: network out, shard service, network back.
+        """Unsupervised remote call: the failover loop around one
+        :meth:`_rpc_attempt` serving pass.
 
-        With a chaos runtime, the target host is chosen by replica-aware
-        round-robin routing; a host found dead on arrival costs the
-        failover timeout and the call retries the next live replica, or
-        -- with no replica left -- degrades to a dense-only partial
-        result (the request completes without this shard's embeddings,
-        exactly like an inactive shard: downstream layers read
-        zero-filled blobs).  A host that crashes *mid-service* aborts
-        the in-flight attempt at the next segment boundary: the worker
-        is released, the attempt's already-recorded spans stay orphaned
-        (no ``rpc_outstanding`` span ever binds them, identically in
-        both trace modes), and the client fails over like a DOA retry.
-        Each attempt carries its own ``rpc_id`` so aborted spans can
-        never be confused with the winning attempt's.  Without chaos,
-        every step below is the historical healthy path, byte for byte.
+        The attempt runs inline: ``yield from`` spawns no process, so a
+        healthy call schedules exactly the attempt's own events and
+        fabric draws.  With a chaos runtime the target host is chosen by
+        replica-aware round-robin routing.  An attempt that does not
+        deliver -- its host found dead on arrival, or crashed
+        mid-service so the attempt aborted at a segment boundary --
+        costs the failover timeout, and the call re-routes to the next
+        live replica.  With no replica left, the call degrades to a
+        dense-only partial result: the request completes without this
+        shard's embeddings, exactly like an inactive shard (downstream
+        layers read zero-filled blobs).
         """
-        engine, cm = self.engine, self.config.cost_model
-        main = self.main
-        record = self._record
         rid = request.request_id
         shard_index = target.shard.index
         chaos = self._chaos
@@ -1016,8 +1012,7 @@ class ClusterSimulation:
             server = self.sparse_servers[shard_index]
         else:
             server = chaos.route(shard_index)
-        t_client = engine.now
-
+        t_client = self.engine.now
         while True:
             if server is None:
                 # No live replica at all: pay the connection timeout,
@@ -1025,116 +1020,13 @@ class ClusterSimulation:
                 chaos.mark_degraded(rid)
                 yield chaos.failover_timeout
                 return
-            rpc_id = next(self._rpc_ids)
-            out_delay = main.egress_delay(target.req_bytes) + self.fabric.one_way_delay(
-                main.platform, server.platform, 0.0
+            delivered = yield from self._rpc_attempt(
+                request, bindex, net_name, target, server, t_client
             )
-            if chaos is not None:
-                out_delay = chaos.network_delay(out_delay)
-            yield out_delay
-            if chaos is not None and not chaos.is_live(server):
-                # The host died while the request was in flight: the
-                # client times out and fails over to the next replica.
-                chaos.count_retry(rid)
-                yield chaos.failover_timeout
-                server = chaos.route(shard_index)
-                continue
-
-            t_service = engine.now
-            yield server.workers.acquire()
-            t0 = engine.now
-            deser = target.server_deser
-            service_fixed = cm.rpc_service_fixed
-            if chaos is not None:
-                deser = chaos.scale_service(shard_index, deser, server)
-            yield deser
-            record(
-                rid, shard_index, server, _SERDE, "rpc_deser",
-                t0, engine.now, deser, None, net_name, bindex, rpc_id,
-            )
-            if chaos is not None and not chaos.is_live(server):
-                server.workers.release()
-                chaos.count_abort(rid)
-                yield chaos.failover_timeout
-                server = chaos.route(shard_index)
-                continue
-            if chaos is not None:
-                service_fixed = chaos.scale_service(
-                    shard_index, service_fixed, server
-                )
-            yield service_fixed
-
-            t0 = engine.now
-            overhead = target.server_overhead
-            if chaos is not None:
-                overhead = chaos.scale_service(shard_index, overhead, server)
-            yield overhead
-            record(
-                rid, shard_index, server, _NET_OVERHEAD, "net_sched",
-                t0, engine.now, overhead, None, net_name, bindex, rpc_id,
-            )
-            if chaos is not None and not chaos.is_live(server):
-                server.workers.release()
-                chaos.count_abort(rid)
-                yield chaos.failover_timeout
-                server = chaos.route(shard_index)
-                continue
-
-            t0 = engine.now
-            work = target.sls_work
-            if chaos is not None:
-                work = chaos.scale_service(shard_index, work, server)
-            yield work
-            record(
-                rid, shard_index, server, _OPERATOR, "sls_remote",
-                t0, engine.now, work, _SPARSE, net_name, bindex, rpc_id,
-            )
-            if chaos is not None and not chaos.is_live(server):
-                server.workers.release()
-                chaos.count_abort(rid)
-                yield chaos.failover_timeout
-                server = chaos.route(shard_index)
-                continue
-
-            t0 = engine.now
-            ser = target.server_resp_ser
-            if chaos is not None:
-                ser = chaos.scale_service(shard_index, ser, server)
-            yield ser
-            record(
-                rid, shard_index, server, _SERDE, "rpc_resp_ser",
-                t0, engine.now, ser, None, net_name, bindex, rpc_id,
-            )
-            # The response is serialized and on the wire: the work is
-            # committed and delivers even if the host dies right after.
-            server.workers.release()
-            record(
-                rid, shard_index, server, _SERVICE, "rpc_e2e",
-                t_service, engine.now, service_fixed, None, net_name, bindex, rpc_id,
-            )
-            break
-
-        back_delay = server.egress_delay(target.resp_bytes) + self.fabric.one_way_delay(
-            server.platform, main.platform, 0.0
-        )
-        if chaos is not None:
-            back_delay = chaos.network_delay(back_delay)
-        yield back_delay
-        record(
-            rid, MAIN_SHARD, main, _RPC_CLIENT, "rpc_outstanding",
-            t_client, engine.now, 0.0, None, net_name, bindex, rpc_id,
-        )
-        # Response tensors deserialize on the client's IO threads, off the
-        # request workers, overlapping the waits for slower RPCs.
-        yield main.io_threads.acquire()
-        t0 = engine.now
-        deser = target.client_resp_deser
-        yield deser
-        record(
-            rid, MAIN_SHARD, main, _SERDE, "rpc_response_deser",
-            t0, engine.now, deser, None, net_name, bindex, rpc_id,
-        )
-        main.io_threads.release()
+            if delivered:
+                return
+            yield chaos.failover_timeout
+            server = chaos.route(shard_index)
 
     def _rpc_resilient(
         self,
@@ -1147,6 +1039,8 @@ class ClusterSimulation:
 
         Replaces :meth:`_rpc` when a non-empty
         :class:`~repro.resilience.policy.ResiliencePolicy` is active.
+        Each attempt is a :meth:`_rpc_attempt` run as its own process
+        (hedges overlap their siblings) sharing one ``state`` dict.
         The first attempt is issued immediately; this orchestrator then
         supervises the outstanding attempts:
 
@@ -1294,37 +1188,47 @@ class ClusterSimulation:
         target: _ShardLookups,
         server: SimServer,
         t_client: float,
-        state: dict,
+        state: dict | None = None,
     ):
-        """One attempt body under :meth:`_rpc_resilient` supervision.
+        """One RPC serving pass on ``server``; returns whether it delivered.
 
-        Identical cost structure to one :meth:`_rpc` serving pass --
-        same egress reservation, fabric draw, serde/service/SLS segments
-        and record positions -- with failover decisions lifted out: a
-        dead host (on arrival or mid-service) simply ends the attempt,
-        and the orchestrator decides whether a replacement is issued.
-        The first attempt to finish its network trip back wins the
-        request; late responses are discarded before client-side
-        deserialization (their server-side spans stay orphaned, which
-        both trace modes drop identically).
+        The only non-fused RPC body: request egress and fabric trip,
+        shard-side deserialization, service, SLS and response
+        serialization, the trip back, and client-side response
+        deserialization, each recorded at its fixed position.  A host
+        found dead -- on arrival, or at a segment boundary mid-service
+        (the worker is released and the already-recorded spans stay
+        orphaned: no ``rpc_outstanding`` span ever binds them, in both
+        trace modes) -- ends the attempt undelivered, and the caller
+        decides what happens next.  Each attempt draws its own
+        ``rpc_id`` so an aborted attempt's spans are never confused
+        with the delivering one's.
+
+        :meth:`_rpc` runs it inline with ``state=None``.
+        :meth:`_rpc_resilient` runs each attempt as its own process and
+        passes a shared ``state`` dict: the first attempt back wins the
+        request, a late response is discarded before client-side
+        deserialization, and spans are dropped once the request has
+        completed, since a supervised attempt can outlive its request.
         """
         engine, cm = self.engine, self.config.cost_model
         main = self.main
         res = self._resilience
         rid = request.request_id
-        sim_record = self._record
-        completed = self.completed
+        record: Callable[..., None] = self._record
+        if state is not None:
+            sim_record, completed = record, self.completed
 
-        def record(*args: Any) -> None:
-            # A straggling attempt can outlive its request (late response,
-            # or a mid-crash abort observed after the winner delivered):
-            # spans recorded past finalize_request would re-open the
-            # request's accumulator and stale-drain it as incomplete, so
-            # post-completion spans are dropped -- identically in both
-            # trace modes, because the gate sits above the recorder.
-            if rid not in completed:
-                sim_record(*args)
+            def gated(*args: Any) -> None:
+                # Spans recorded past finalize_request would re-open the
+                # request's accumulator and stale-drain it as incomplete,
+                # so post-completion spans are dropped -- identically in
+                # both trace modes, because the gate sits above the
+                # recorder.
+                if rid not in completed:
+                    sim_record(*args)
 
+            record = gated
         shard_index = target.shard.index
         chaos = self._chaos
         rpc_id = next(self._rpc_ids)
@@ -1338,7 +1242,7 @@ class ClusterSimulation:
         if chaos is not None and not chaos.is_live(server):
             # Dead on arrival: the attempt is spent, nothing recorded.
             chaos.count_retry(rid)
-            return
+            return False
 
         t_service = engine.now
         yield server.workers.acquire()
@@ -1355,8 +1259,9 @@ class ClusterSimulation:
         if chaos is not None and not chaos.is_live(server):
             server.workers.release()
             chaos.count_abort(rid)
-            res.count_abort()
-            return
+            if res is not None:
+                res.count_abort()
+            return False
         if chaos is not None:
             service_fixed = chaos.scale_service(
                 shard_index, service_fixed, server
@@ -1375,8 +1280,9 @@ class ClusterSimulation:
         if chaos is not None and not chaos.is_live(server):
             server.workers.release()
             chaos.count_abort(rid)
-            res.count_abort()
-            return
+            if res is not None:
+                res.count_abort()
+            return False
 
         t0 = engine.now
         work = target.sls_work
@@ -1390,8 +1296,9 @@ class ClusterSimulation:
         if chaos is not None and not chaos.is_live(server):
             server.workers.release()
             chaos.count_abort(rid)
-            res.count_abort()
-            return
+            if res is not None:
+                res.count_abort()
+            return False
 
         t0 = engine.now
         ser = target.server_resp_ser
@@ -1416,14 +1323,17 @@ class ClusterSimulation:
         if chaos is not None:
             back_delay = chaos.network_delay(back_delay)
         yield back_delay
-        if state["winner"] is not None:
-            # A sibling attempt already won; discard this response.
-            return
-        state["winner"] = rpc_id
+        if state is not None:
+            if state["winner"] is not None:
+                # A sibling attempt already won; discard this response.
+                return False
+            state["winner"] = rpc_id
         record(
             rid, MAIN_SHARD, main, _RPC_CLIENT, "rpc_outstanding",
             t_client, engine.now, 0.0, None, net_name, bindex, rpc_id,
         )
+        # Response tensors deserialize on the client's IO threads, off the
+        # request workers, overlapping the waits for slower RPCs.
         yield main.io_threads.acquire()
         t0 = engine.now
         deser = target.client_resp_deser
@@ -1433,7 +1343,9 @@ class ClusterSimulation:
             t0, engine.now, deser, None, net_name, bindex, rpc_id,
         )
         main.io_threads.release()
-        state["delivered"] = True
+        if state is not None:
+            state["delivered"] = True
+        return True
 
     def _rpc_fast(
         self,
@@ -1442,7 +1354,8 @@ class ClusterSimulation:
         net_name: str,
         target: _ShardLookups,
     ):
-        """Chaos-free variant of :meth:`_rpc` (batched kernel).
+        """Chaos-free fused variant of :meth:`_rpc_attempt` (batched
+        kernel, no resilience policy).
 
         Structurally identical to the healthy path of the reference RPC --
         same egress reservation and fabric draw positions, same record

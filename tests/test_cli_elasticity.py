@@ -7,12 +7,8 @@ from repro.cli import main
 from repro.experiments import SuiteSettings, run_configuration, suite_requests
 from repro.experiments.configs import ShardingConfiguration, build_plan
 from repro.models import drm1
+from repro.planning import assess_elasticity, diurnal_qps_curve, dram_hours_saved
 from repro.serving import ServingConfig
-from repro.serving.elasticity import (
-    assess_elasticity,
-    diurnal_qps_curve,
-    dram_hours_saved,
-)
 from repro.sharding import estimate_pooling_factors, load_plan
 
 
@@ -72,6 +68,30 @@ class TestCli:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["definitely-not-a-command"])
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--requests"],
+            ["suite", "--requests"],
+            ["workload", "--requests"],
+            ["plan", "--requests"],
+            ["chaos", "--requests"],
+            ["simulate", "--pooling-requests"],
+            ["plan", "--pooling-requests"],
+            ["shard", "--shards"],
+            ["chaos", "--shards"],
+        ],
+        ids=" ".join,
+    )
+    def test_count_flags_reject_non_positive(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + [value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument {argv[1]}: must be a positive integer, got {int(value)}" in err
 
 
 class TestDiurnalCurve:

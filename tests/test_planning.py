@@ -1,14 +1,10 @@
 """Tests for the repro.planning package: per-shard columnar demand, the
-closed-loop CapacityPlanner, SLA/elasticity validation, and the
-deprecation shims over the historical repro.serving.* paths."""
+closed-loop CapacityPlanner, and SLA/elasticity validation."""
 
 import numpy as np
 import pytest
 
 import repro.planning as planning
-import repro.serving.elasticity as serving_elasticity
-import repro.serving.replication as serving_replication
-import repro.serving.sla as serving_sla
 from repro.cli import main
 from repro.experiments import (
     RunResult,
@@ -246,35 +242,6 @@ class TestElasticity:
             peak_servers=4, trough_servers=0,
         )
         assert report.elasticity_ratio == 4.0
-
-
-class TestDeprecationShims:
-    def test_sla_shim_reexports_identical_objects(self):
-        assert serving_sla.SlaPolicy is planning.SlaPolicy
-        assert serving_sla.evaluate_sla is planning.evaluate_sla
-        assert serving_sla.sla_sweep is planning.sla_sweep
-
-    def test_replication_shim_reexports_identical_objects(self):
-        assert serving_replication.plan_replication is planning.plan_replication
-        assert serving_replication.ReplicationDemand is planning.ReplicationDemand
-        assert serving_replication.ReplicationPlan is planning.ReplicationPlan
-        assert (
-            serving_replication.memory_efficiency_vs_singular
-            is planning.memory_efficiency_vs_singular
-        )
-
-    def test_elasticity_shim_reexports_identical_objects(self):
-        assert serving_elasticity.assess_elasticity is planning.assess_elasticity
-        assert serving_elasticity.ElasticityReport is planning.ElasticityReport
-        assert serving_elasticity.dram_hours_saved is planning.dram_hours_saved
-        assert serving_elasticity.diurnal_qps_curve is planning.diurnal_qps_curve
-
-    def test_serving_package_exports_still_work(self):
-        from repro.serving import SlaPolicy as ServingSlaPolicy
-        from repro.serving import plan_replication as serving_plan_replication
-
-        assert ServingSlaPolicy is planning.SlaPolicy
-        assert serving_plan_replication is planning.plan_replication
 
 
 class TestArrivalRates:

@@ -29,6 +29,7 @@ from repro.experiments import (
 )
 from repro.experiments.configs import build_plan
 from repro.models import drm1, drm2
+from repro.planning.elasticity import diurnal_qps_curve as elasticity_curve
 from repro.requests import (
     CorrelatedStream,
     ReplaySchedule,
@@ -37,7 +38,6 @@ from repro.requests import (
     collect_correlated_trace,
 )
 from repro.serving import ClusterSimulation, ServingConfig
-from repro.serving.elasticity import diurnal_qps_curve as elasticity_curve
 from repro.sharding import singular_plan
 from repro.workloads import (
     ConstantRateArrivals,
