@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,8 +83,8 @@ class TableConfig:
             raise ValueError(f"table {self.name}: dim must be >= 1")
         if not 0.0 <= self.activation_prob <= 1.0:
             raise ValueError(f"table {self.name}: activation_prob out of [0, 1]")
-        if self.mean_ids < 0:
-            raise ValueError(f"table {self.name}: mean_ids must be >= 0")
+        if not math.isfinite(self.mean_ids) or self.mean_ids < 0:
+            raise ValueError(f"table {self.name}: mean_ids must be finite and >= 0")
 
     @functools.cached_property
     def nbytes(self) -> float:

@@ -26,7 +26,13 @@ Every stochastic component owns an independent named substream:
 * ``(seed, "requests", model, table, "counts")`` -- one Poisson per
   request for USER-scoped id counts;
 * ``(seed, "requests", model, table, "per-item")`` -- one Poisson per
-  candidate item for ITEM-scoped id counts.
+  candidate item for ITEM-scoped id counts.  At rates below 10 (every
+  paper model's are far below) numpy draws a Poisson variate X by
+  multiplying X + 1 uniforms of the stream, so the stream's uniforms
+  alone fix every count.  That is what lets
+  :meth:`RequestGenerator.table_totals` sum a table's counts exactly,
+  and leave the stream where :meth:`~RequestGenerator.generate_many`
+  would, without drawing the variates (:func:`_poisson_sum`).
 
 Because each stream is consumed in request order with a fixed number of
 draws per request, a bulk array draw of ``N`` requests consumes each
@@ -46,6 +52,7 @@ draws never interleave, so kernels can vectorize each independently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -266,11 +273,12 @@ class RequestGenerator:
         """Aggregate id counts per table over ``count`` requests.
 
         Equivalent to summing ``draw.total_ids`` over
-        :meth:`generate_many`'s output, without materializing any
-        :class:`Request` -- the fast path for pooling-factor estimation.
+        :meth:`generate_many`'s output, and consumes every substream the
+        same way, without materializing any :class:`Request` or any
+        per-item count (:func:`_poisson_sum`).
         """
         timestamps = np.linspace(0.0, window_days * _DAY_SECONDS, count, endpoint=False)
-        num_items = self._bulk_items(timestamps)
+        total_items = int(self._bulk_items(timestamps).sum())
         totals: dict[str, float] = {}
         for table in self.model.tables:
             name = table.name
@@ -287,9 +295,58 @@ class RequestGenerator:
                     totals[name] = float(counts[activated].sum())
             else:
                 rate = table.activation_prob * table.mean_ids
-                flat = self._rng(name, "per-item").poisson(rate, size=int(num_items.sum()))
-                totals[name] = float(flat.sum())
+                totals[name] = float(
+                    _poisson_sum(self._rng(name, "per-item"), rate, total_items)
+                )
         return totals
+
+
+def _poisson_sum(rng: np.random.Generator, lam: float, size: int) -> int:
+    """``int(rng.poisson(lam, size).sum())``, leaving ``rng`` in the same
+    bit-generator state, without drawing the variates one by one.
+
+    For ``0 < lam < 10`` numpy draws each variate by the multiplication
+    method: it multiplies ``next_double`` uniforms until their product is
+    ``<= exp(-lam)``, so a variate X consumes X + 1 uniforms of the stream
+    :meth:`numpy.random.Generator.random` draws.  Only a uniform above
+    ``exp(-lam)`` (a *candidate*) can start a variate X >= 1 or continue
+    one, so a block of ``size`` uniforms is walked at its candidates
+    only; a chain that runs past the block continues with scalar draws.
+    Each variate X covers X + 1 uniforms, so the block holds fewer than
+    ``size`` variates; the missing ones are a fresh Poisson sample from
+    the continuing stream, and the loop draws them the same way.
+
+    ``math.exp`` is libm ``exp``, as in numpy's C code.  Any other ``lam``
+    (0, PTRS rates >= 10, invalid values) goes to ``rng.poisson``.
+    """
+    if not 0.0 < lam < 10.0:
+        return int(rng.poisson(lam, size).sum())
+    limit = math.exp(-lam)
+    total = 0
+    while size:
+        block = rng.random(size)
+        block_sum = spilled = consumed = 0
+        for start in np.flatnonzero(block > limit).tolist():
+            if start < consumed:
+                continue  # inside an earlier variate's chain
+            product = block.item(start)
+            end = start + 1
+            while True:
+                if end < size:
+                    product *= block.item(end)
+                else:
+                    product *= rng.random()
+                    spilled += 1
+                if product <= limit:
+                    break
+                end += 1
+            block_sum += end - start
+            consumed = end + 1
+        total += block_sum
+        # The block and the spill hold block_sum + (variates started)
+        # uniforms, so size - (variates started) == block_sum - spilled.
+        size = block_sum - spilled
+    return total
 
 
 def request_payload_bytes(model: ModelConfig, request: Request) -> float:

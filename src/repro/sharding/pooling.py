@@ -4,8 +4,11 @@ The load-balanced strategy places tables by *pooling factor* -- the
 expected number of embedding-table lookups a table performs -- which the
 paper estimates "by sampling 1000 requests from the evaluation dataset and
 observing the number of lookups per table".  This module reproduces that
-estimator: it draws requests from the model's request generator and sums
-observed ids per table, giving Table-II-scale aggregate pooling factors.
+estimator: it samples requests from the model's request generator
+(:meth:`~repro.requests.RequestGenerator.table_totals`, which sums each
+table's ids from the same draws :meth:`generate_many` makes, without
+building the requests) and reports observed ids per table, giving
+Table-II-scale aggregate pooling factors.
 
 Estimates are memoized per (model tables/profile, num_requests, seed):
 the suite runner and the benchmark conftest ask for the same estimate for

@@ -6,22 +6,36 @@ The fast path must be *exactly* the slow path, faster:
   must draw identical requests from the same seed;
 * a parallel sweep must be byte-identical to a serial one (same e2e/cpu
   arrays, same attribution stacks) for the same settings;
-* pooling-factor memoization must not change estimates;
+* pooling-factor memoization must not change estimates, and the
+  pooling sampler's bulk Poisson sums must equal numpy's own draws;
 * columnar ``RunResult`` storage must agree with the retained
   per-request attributions.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments import (
     SuiteSettings,
     run_suite,
     run_suite_parallel,
 )
-from repro.models import drm1, drm3
+from repro.models import (
+    FeatureScope,
+    ModelConfig,
+    NetConfig,
+    RequestProfile,
+    TableConfig,
+    drm1,
+    drm2,
+    drm3,
+)
 from repro.requests import RequestGenerator
-from repro.requests.generator import _DAY_SECONDS
+from repro.requests.generator import _DAY_SECONDS, _poisson_sum
 from repro.serving import ServingConfig
 from repro.sharding import estimate_pooling_factors
 from repro.sharding.pooling import clear_pooling_cache
@@ -47,6 +61,32 @@ def _assert_requests_equal(a, b):
                 assert np.array_equal(da.per_item_counts, db.per_item_counts)
 
 
+def _edge_rate_model() -> ModelConfig:
+    """Item-scoped rates at the bulk Poisson sum's edges: 0 (no draws),
+    5 (chains through adjacent candidates) and 12 (numpy's PTRS branch)."""
+    return ModelConfig(
+        "EDGE",
+        (NetConfig("net1", dense_us_per_item=1.0, dense_us_fixed=20.0),),
+        (
+            TableConfig("user", "net1", 100, 8, scope=FeatureScope.USER,
+                        activation_prob=0.5, mean_ids=3),
+            TableConfig("rate0", "net1", 100, 8, scope=FeatureScope.ITEM,
+                        activation_prob=0.0, mean_ids=2),
+            TableConfig("rate5", "net1", 100, 8, scope=FeatureScope.ITEM,
+                        activation_prob=1.0, mean_ids=5),
+            TableConfig("rate12", "net1", 100, 8, scope=FeatureScope.ITEM,
+                        activation_prob=1.0, mean_ids=12),
+        ),
+        RequestProfile(median_items=8, sigma_items=0.3, batch_size=16),
+    )
+
+
+TOTALS_MODELS = pytest.mark.parametrize(
+    "model_factory", [drm1, drm2, drm3, _edge_rate_model],
+    ids=["drm1", "drm2", "drm3", "edge-rates"],
+)
+
+
 class TestGeneratorEquivalence:
     @pytest.mark.parametrize("model_factory", [drm1, drm3])
     def test_vectorized_matches_scalar(self, model_factory):
@@ -68,8 +108,9 @@ class TestGeneratorEquivalence:
             RequestGenerator(model, seed=7).generate_many(30),
         )
 
-    def test_table_totals_matches_generated_requests(self):
-        model = drm1()
+    @TOTALS_MODELS
+    def test_table_totals_matches_generated_requests(self, model_factory):
+        model = model_factory()
         totals = RequestGenerator(model, seed=5).table_totals(40)
         requests = RequestGenerator(model, seed=5).generate_many(40)
         observed = {table.name: 0.0 for table in model.tables}
@@ -77,6 +118,60 @@ class TestGeneratorEquivalence:
             for draw in request.draws.values():
                 observed[draw.table_name] += draw.total_ids
         assert totals == observed
+
+    @TOTALS_MODELS
+    def test_table_totals_continues_the_stream(self, model_factory):
+        """The generator is stateful: ``table_totals(n)`` must leave every
+        substream where ``generate_many(n)`` would."""
+        model = model_factory()
+        summed = RequestGenerator(model, seed=5)
+        summed.table_totals(40)
+        generated = RequestGenerator(model, seed=5)
+        generated.generate_many(40)
+        _assert_requests_equal(summed.generate_many(15), generated.generate_many(15))
+
+
+def _assert_poisson_sum_exact(seed: int, lam: float, size: int) -> None:
+    """``_poisson_sum`` returns numpy's sum and leaves the same state."""
+    bulk = np.random.default_rng(seed)
+    twin = np.random.default_rng(seed)
+    assert _poisson_sum(bulk, lam, size) == int(twin.poisson(lam, size).sum())
+    assert bulk.bit_generator.state == twin.bit_generator.state
+
+
+class TestPoissonSum:
+    """Pins numpy's Poisson draw (multiplication method below rate 10):
+    if a numpy release changes it, these fail instead of pooling
+    estimates, and with them plans, drifting silently."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log_lam=st.floats(math.log(1e-6), math.log(10.0), exclude_max=True),
+        size=st.integers(0, 5000),
+    )
+    def test_matches_numpy_poisson(self, seed, log_lam, size):
+        _assert_poisson_sum_exact(seed, math.exp(log_lam), size)
+
+    @pytest.mark.parametrize("lam", [0.0, 10.0, 25.0])
+    def test_fallback_rates(self, lam):
+        _assert_poisson_sum_exact(3, lam, 2000)
+
+    def test_adjacent_candidates(self):
+        # At rate 5 nearly every uniform exceeds exp(-5), so chains run
+        # through long runs of candidates.
+        _assert_poisson_sum_exact(11, 5.0, 3000)
+
+    def test_chain_spills_past_the_block(self):
+        lam, size = 0.5, 50
+        block = np.random.default_rng(0).random(size)
+        assert block[-1] > math.exp(-lam)
+        _assert_poisson_sum_exact(0, lam, size)
+
+    def test_invalid_rates_raise_like_numpy(self):
+        for lam in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                _poisson_sum(np.random.default_rng(0), lam, 4)
 
 
 class TestPoolingMemoization:

@@ -60,6 +60,11 @@ class TestTableConfig:
         with pytest.raises(ValueError):
             TableConfig(**base)
 
+    @pytest.mark.parametrize("mean_ids", [float("nan"), float("inf")])
+    def test_non_finite_mean_ids_rejected(self, mean_ids):
+        with pytest.raises(ValueError, match="table t: mean_ids"):
+            TableConfig("t", "n", num_rows=10, dim=4, mean_ids=mean_ids)
+
 
 class TestNetConfig:
     def test_op_mix_must_sum_to_one(self):
