@@ -92,8 +92,9 @@ from repro.workloads import (
 
 
 def _positive_int(text: str) -> int:
-    """argparse ``type=`` for count flags (requests, shards): rejects
-    non-positive values with a usage error instead of a traceback."""
+    """argparse ``type=`` for count flags (requests, shards, workers,
+    replicas, ...): rejects non-positive values with a usage error
+    instead of a traceback."""
     try:
         value = int(text)
     except ValueError:
@@ -230,7 +231,7 @@ def _resilience_policy(args: argparse.Namespace) -> ResiliencePolicy | None:
 
 def _add_domain_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--domains", type=int, default=1,
+        "--domains", type=_positive_int, default=1,
         help="fault domains to place sparse replicas across (racks/zones); "
         "1 disables domain-aware placement",
     )
@@ -751,7 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(identical results to the serial sweep)",
     )
     suite.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_positive_int, default=None,
         help="worker-process cap; implies --parallel (default: CPU count "
         "or REPRO_SWEEP_WORKERS)",
     )
@@ -799,7 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="diurnal trough as a fraction of peak QPS",
         )
         sub.add_argument(
-            "--hours", type=int, default=24, help="length of the diurnal curve"
+            "--hours", type=_positive_int, default=24, help="length of the diurnal curve"
         )
         sub.add_argument(
             "--dwell-seconds", type=float, default=60.0,
@@ -880,7 +881,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(identical plan to the serial search)",
     )
     plan.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_positive_int, default=None,
         help="worker-process cap; implies --parallel",
     )
     plan.add_argument(
@@ -890,7 +891,7 @@ def build_parser() -> argparse.ArgumentParser:
         "otherwise) and report replicas-for-N-nines sizing",
     )
     plan.add_argument(
-        "--assess-replicas", nargs="+", type=int, default=[1, 2, 3],
+        "--assess-replicas", nargs="+", type=_positive_int, default=[1, 2, 3],
         help="sparse replica counts the availability assessment sweeps",
     )
     plan.add_argument(
@@ -929,10 +930,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument("--qps", type=float, default=80.0)
     chaos.add_argument("--trough-fraction", type=float, default=0.35)
-    chaos.add_argument("--hours", type=int, default=24)
+    chaos.add_argument("--hours", type=_positive_int, default=24)
     chaos.add_argument("--dwell-seconds", type=float, default=60.0)
     chaos.add_argument(
-        "--replicas", nargs="+", type=int, default=[1, 2, 3],
+        "--replicas", nargs="+", type=_positive_int, default=[1, 2, 3],
         help="sparse replica counts to sweep",
     )
     chaos.add_argument(
@@ -988,7 +989,7 @@ def build_parser() -> argparse.ArgumentParser:
         "re-replication)",
     )
     chaos.add_argument("--check-interval", type=float, default=0.05)
-    chaos.add_argument("--misses", type=int, default=2)
+    chaos.add_argument("--misses", type=_positive_int, default=2)
     chaos.add_argument("--recovery-lag", type=float, default=0.25)
     chaos.add_argument(
         "--slo-ms", type=float, default=None,
@@ -1007,7 +1008,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fan replica counts out over worker processes "
         "(byte-identical to the serial sweep)",
     )
-    chaos.add_argument("--workers", type=int, default=None)
+    chaos.add_argument("--workers", type=_positive_int, default=None)
     chaos.add_argument(
         "--report", default=None,
         help="also write the availability report to this path",

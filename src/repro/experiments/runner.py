@@ -1,8 +1,10 @@
 """Experiment runner: simulate configurations, collect attributed results.
 
 One :class:`RunResult` holds everything the figure generators need for one
-(model, sharding configuration, serving configuration) cell: per-request
-E2E latency, per-request aggregate CPU, and the full per-request
+(model, sharding configuration, serving configuration) cell: the
+per-request columns (E2E latency, aggregate CPU, stacks, flags, per-shard
+demand) in a :class:`~repro.tracing.columns.ResultColumns`, the store
+both trace modes write, plus -- in FULL mode only -- the per-request
 attributions.  Traces are attributed incrementally as requests complete
 and raw spans are freed, so full sweeps stay memory-bounded.
 """
@@ -23,13 +25,8 @@ from repro.serving.simulator import ClusterSimulation, ServingConfig
 from repro.sharding.plan import ShardingPlan
 from repro.sharding.pooling import estimate_pooling_factors
 from repro.tracing.aggregate import AggregatingTracer, TraceMode
-from repro.tracing.attribution import (
-    CPU_BUCKETS,
-    E2E_BUCKETS,
-    EMBEDDED_BUCKETS,
-    RequestAttribution,
-    attribute_request,
-)
+from repro.tracing.attribution import RequestAttribution, attribute_request
+from repro.tracing.columns import ResultColumns
 from repro.workloads.arrivals import ArrivalProcess
 from repro.workloads.workload import MixedStream, WorkloadMix
 from repro.experiments.configs import (
@@ -90,21 +87,15 @@ def default_chunk_size() -> int:
 class RunResult:
     """Attributed measurements for one simulated configuration.
 
-    Storage is **columnar**: E2E latency, aggregate CPU, and the three
-    per-request stacks live in preallocated numpy arrays that are filled
-    incrementally as requests complete (grown by doubling).  Figure
-    generation therefore reads ready-made arrays instead of rebuilding
-    them from the list of :class:`RequestAttribution` dataclasses on
-    every access.  Per-shard CPU-demand and sparse-op-time columns are
-    filled in both trace modes; the full attributions are retained (FULL
-    mode only) for the per-(shard, net) breakdown and ad-hoc inspection.
+    Storage is **columnar**: every per-request column lives in one
+    :class:`ResultColumns`, filled row by row as requests complete (by
+    :meth:`add` in FULL mode; AGGREGATE mode adopts the tracer's store).
+    Figure generation therefore reads ready-made arrays instead of
+    rebuilding them from the list of :class:`RequestAttribution`
+    dataclasses on every access.  The full attributions are retained
+    (FULL mode only) for the per-(shard, net) breakdown and ad-hoc
+    inspection.
     """
-
-    _COLUMN_BUCKETS = {
-        "latency": E2E_BUCKETS,
-        "embedded": EMBEDDED_BUCKETS,
-        "cpu": CPU_BUCKETS,
-    }
 
     def __init__(
         self,
@@ -147,70 +138,9 @@ class RunResult:
         #: In-flight RPC attempts aborted by mid-service crashes
         #: (0 on healthy runs).
         self.aborted_rpcs: int = 0
-        capacity = max(int(expected_requests), 16)
-        self._count = 0
-        self._e2e = np.empty(capacity)
-        self._cpu = np.empty(capacity)
-        self._workload = np.zeros(capacity, dtype=np.int64)
-        # Chaos columns (see the accessors below); all-zero statuses on
-        # healthy runs, and the id column maps completion-order rows back
-        # to arrival order.
-        self._rid = np.empty(capacity, dtype=np.int64)
-        self._status = np.zeros(capacity, dtype=np.int64)
-        self._degraded = np.zeros(capacity, dtype=np.int64)
-        self._retries = np.zeros(capacity, dtype=np.int64)
-        # Resilience columns; all-zero without an active policy.
-        self._attempts = np.zeros(capacity, dtype=np.int64)
-        self._hedged = np.zeros(capacity, dtype=np.int64)
-        self._deadline = np.zeros(capacity, dtype=np.int64)
-        self._stack_cols: dict[tuple[str, str], np.ndarray] = {
-            (kind, bucket): np.empty(capacity)
-            for kind, buckets in self._COLUMN_BUCKETS.items()
-            for bucket in buckets
-        }
-        # Per-shard demand columns, keyed by shard index (MAIN_SHARD = -1):
-        # per-request CPU-seconds by shard, and per-request sparse-operator
-        # time by sparse shard.  Lazily created, zero-filled (a request that
-        # never touched a shard contributes exactly 0.0), populated in both
-        # FULL and AGGREGATE trace modes -- the replication planner's
-        # demand signal.
-        self._shard_cpu_cols: dict[int, np.ndarray] = {}
-        self._shard_op_cols: dict[int, np.ndarray] = {}
-
-    def _grow(self, capacity: int) -> None:
-        def grown(array: np.ndarray) -> np.ndarray:
-            out = np.empty(capacity, dtype=array.dtype)
-            out[: self._count] = array[: self._count]
-            return out
-
-        def grown_zeros(array: np.ndarray) -> np.ndarray:
-            out = np.zeros(capacity, dtype=array.dtype)
-            out[: self._count] = array[: self._count]
-            return out
-
-        self._e2e = grown(self._e2e)
-        self._cpu = grown(self._cpu)
-        self._workload = grown(self._workload)
-        self._rid = grown(self._rid)
-        self._status = grown_zeros(self._status)
-        self._degraded = grown_zeros(self._degraded)
-        self._retries = grown_zeros(self._retries)
-        self._attempts = grown_zeros(self._attempts)
-        self._hedged = grown_zeros(self._hedged)
-        self._deadline = grown_zeros(self._deadline)
-        self._stack_cols = {key: grown(col) for key, col in self._stack_cols.items()}
-        self._shard_cpu_cols = {
-            key: grown_zeros(col) for key, col in self._shard_cpu_cols.items()
-        }
-        self._shard_op_cols = {
-            key: grown_zeros(col) for key, col in self._shard_op_cols.items()
-        }
-
-    def _shard_column(self, cols: dict[int, np.ndarray], shard: int) -> np.ndarray:
-        col = cols.get(shard)
-        if col is None:
-            col = cols[shard] = np.zeros(len(self._e2e))
-        return col
+        #: Every per-request column, in completion order: written by
+        #: :meth:`add` in FULL mode, adopted from the tracer in AGGREGATE.
+        self.columns = ResultColumns(expected_requests)
 
     def add(
         self,
@@ -223,46 +153,37 @@ class RunResult:
         deadline_exceeded: int = 0,
     ) -> None:
         """Append one completed request's attribution."""
-        index = self._count
-        if index == len(self._e2e):
-            self._grow(2 * index)
         self.attributions.append(attribution)
-        self._e2e[index] = attribution.e2e
-        self._cpu[index] = attribution.cpu_total
-        self._workload[index] = workload
-        self._rid[index] = attribution.request_id
-        if degraded or retries:
-            self._status[index] = 1 if degraded else 0
-            self._degraded[index] = degraded
-            self._retries[index] = retries
-        if attempts or hedged or deadline_exceeded:
-            self._attempts[index] = attempts
-            self._hedged[index] = hedged
-            self._deadline[index] = deadline_exceeded
-        cols = self._stack_cols
-        for bucket, value in attribution.latency_stack.items():
-            cols["latency", bucket][index] = value
-        for bucket, value in attribution.embedded_stack.items():
-            cols["embedded", bucket][index] = value
-        for bucket, value in attribution.cpu_stack.items():
-            cols["cpu", bucket][index] = value
-        for shard, value in attribution.per_shard_cpu.items():
-            self._shard_column(self._shard_cpu_cols, shard)[index] = value
-        for shard, value in attribution.per_shard_op_time.items():
-            self._shard_column(self._shard_op_cols, shard)[index] = value
-        self._count = index + 1
+        # attribute_request builds each stack dict in bucket order.
+        self.columns.append(
+            attribution.request_id,
+            workload,
+            attribution.e2e,
+            attribution.cpu_total,
+            (
+                *attribution.latency_stack.values(),
+                *attribution.embedded_stack.values(),
+                *attribution.cpu_stack.values(),
+            ),
+            attribution.per_shard_cpu,
+            attribution.per_shard_op_time,
+            (degraded, retries) if degraded or retries else None,
+            (attempts, hedged, deadline_exceeded)
+            if attempts or hedged or deadline_exceeded
+            else None,
+        )
 
     def __len__(self) -> int:
-        return self._count
+        return self.columns.count
 
     # -- columnar accessors (no per-access rebuild) -----------------------
     @property
     def e2e(self) -> np.ndarray:
-        return self._e2e[: self._count]
+        return self.columns.e2e[: len(self)]
 
     @property
     def cpu(self) -> np.ndarray:
-        return self._cpu[: self._count]
+        return self.columns.cpu[: len(self)]
 
     # -- chaos columns (both trace modes) ----------------------------------
     @property
@@ -271,25 +192,25 @@ class RunResult:
         completion order diverges from arrival order, and this column is
         what maps a row back to its arrival time (availability timelines
         index ``arrival_times[request_ids]``)."""
-        return self._rid[: self._count]
+        return self.columns.request_ids[: len(self)]
 
     @property
     def status(self) -> np.ndarray:
         """Per-request outcome: 0 = full response, 1 = degraded (at least
         one sparse RPC found no live replica and the request was served
         dense-only for that net).  All zeros on healthy runs."""
-        return self._status[: self._count]
+        return self.columns.status[: len(self)]
 
     @property
     def degraded(self) -> np.ndarray:
         """Per-request count of degraded (dense-only) sparse RPCs."""
-        return self._degraded[: self._count]
+        return self.columns.degraded[: len(self)]
 
     @property
     def retries(self) -> np.ndarray:
         """Per-request count of RPC failovers (dead host -> live replica),
         including mid-service aborts."""
-        return self._retries[: self._count]
+        return self.columns.retries[: len(self)]
 
     # -- resilience columns (both trace modes) -----------------------------
     @property
@@ -297,33 +218,30 @@ class RunResult:
         """Per-request count of policy-issued RPC attempts (first sends,
         hedges, and timeout retries).  All zeros without an active
         :class:`~repro.resilience.ResiliencePolicy`."""
-        return self._attempts[: self._count]
+        return self.columns.attempts[: len(self)]
 
     @property
     def hedged(self) -> np.ndarray:
         """Per-request count of hedged (speculative duplicate) attempts
         actually issued."""
-        return self._hedged[: self._count]
+        return self.columns.hedged[: len(self)]
 
     @property
     def deadline_exceeded(self) -> np.ndarray:
         """Per-request flag: 1 when the request completed past the
         policy's deadline."""
-        return self._deadline[: self._count]
+        return self.columns.deadline_exceeded[: len(self)]
 
     def stack_columns(self, kind: str) -> dict[str, np.ndarray]:
         """One array per bucket for ``kind`` in {latency, embedded, cpu}."""
-        return {
-            bucket: self._stack_cols[kind, bucket][: self._count]
-            for bucket in self._COLUMN_BUCKETS[kind]
-        }
+        return self.columns.stack_columns(kind)
 
     # -- per-workload views ------------------------------------------------
     @property
     def workloads(self) -> np.ndarray:
         """Per-request workload index (into ``workload_labels``), in
         completion order -- all zeros for single-workload runs."""
-        return self._workload[: self._count]
+        return self.columns.workloads[: len(self)]
 
     def workload_mask(self, label: str) -> np.ndarray:
         """Boolean mask selecting one workload's requests."""
@@ -345,60 +263,23 @@ class RunResult:
     def embedded_totals(self) -> np.ndarray:
         """Per-request embedded-portion totals (sum of embedded buckets)."""
         columns = self.stack_columns("embedded")
-        total = np.zeros(self._count)
+        total = np.zeros(len(self))
         for column in columns.values():
             total += column
         return total
 
-    # -- row-oriented views (compatibility with pre-columnar callers) -----
-    def _stacks(self, kind: str) -> list[dict[str, float]]:
-        columns = self.stack_columns(kind)
-        buckets = self._COLUMN_BUCKETS[kind]
-        return [
-            {bucket: float(columns[bucket][i]) for bucket in buckets}
-            for i in range(self._count)
-        ]
-
-    def latency_stacks(self) -> list[dict[str, float]]:
-        return self._stacks("latency")
-
-    def embedded_stacks(self) -> list[dict[str, float]]:
-        return self._stacks("embedded")
-
-    def cpu_stacks(self) -> list[dict[str, float]]:
-        return self._stacks("cpu")
-
     def adopt_aggregate(self, tracer: AggregatingTracer) -> None:
-        """Take over an :class:`AggregatingTracer`'s columnar output.
+        """Take over an :class:`AggregatingTracer`'s columns.
 
-        The tracer attributed every completed request straight into the
-        same column layout this class preallocates, so adoption is a
-        pointer handoff -- no per-request dataclasses were ever built.
-        ``attributions`` stays empty; the per-shard demand columns are
-        adopted too, so :meth:`mean_cpu_by_shard` and
-        :meth:`mean_per_shard_op_time` work identically in both trace
-        modes (only the per-(shard, net) breakdown still needs FULL).
+        The tracer attributed every completed request straight into its
+        own :class:`ResultColumns`, so adoption is a pointer handoff -- no
+        per-request dataclasses were ever built.  ``attributions`` stays
+        empty; the per-shard demand columns come along, so
+        :meth:`mean_cpu_by_shard` and :meth:`mean_per_shard_op_time` work
+        identically in both trace modes (only the per-(shard, net)
+        breakdown still needs FULL).
         """
-        (
-            count, e2e, cpu, stack_cols, workload, shard_cpu, shard_op,
-            rid, status, degraded, retries, attempts, hedged, deadline,
-        ) = tracer.export_columns()
-        if set(stack_cols) != set(self._stack_cols):
-            raise ValueError("aggregate tracer columns do not match RunResult layout")
-        self._count = count
-        self._e2e = e2e
-        self._cpu = cpu
-        self._workload = workload
-        self._stack_cols = stack_cols
-        self._shard_cpu_cols = shard_cpu
-        self._shard_op_cols = shard_op
-        self._rid = rid
-        self._status = status
-        self._degraded = degraded
-        self._retries = retries
-        self._attempts = attempts
-        self._hedged = hedged
-        self._deadline = deadline
+        self.columns = tracer.columns
 
     # -- per-shard demand (both trace modes) -------------------------------
     def _mean_shard_columns(
@@ -411,7 +292,7 @@ class RunResult:
         bit-for-bit; untouched requests contribute exact ``+0.0`` terms,
         which never perturb a float sum.
         """
-        count = self._count
+        count = len(self)
         if count == 0 or not cols:
             return {}
         if workload is None:
@@ -436,12 +317,12 @@ class RunResult:
         requests (label column) are averaged -- the per-tenant demand of a
         co-located mix.  ``{}`` when no matching request completed.
         """
-        return self._mean_shard_columns(self._shard_cpu_cols, workload)
+        return self._mean_shard_columns(self.columns.shard_cpu, workload)
 
     def mean_per_shard_op_time(self, workload: str | None = None) -> dict[int, float]:
         """Mean per-shard sparse-operator time (both trace modes); ``{}``
         when no matching request completed."""
-        return self._mean_shard_columns(self._shard_op_cols, workload)
+        return self._mean_shard_columns(self.columns.shard_op, workload)
 
     def mean_per_shard_net_op_time(self) -> dict[tuple[int, str], float]:
         """Mean per-(shard, net) operator time; ``{}`` without attributions
@@ -540,15 +421,6 @@ def _replay_into(
         tracer.chaos_flags = chaos_flags
         tracer.resilience_flags = res_flags
         cluster.on_complete = tracer.finalize_request
-    elif chaos_flags is None and res_flags is None:
-        # The healthy hot path: no per-request flag lookups.
-        def on_complete(request_id: int) -> None:
-            result.add(
-                attribute_request(tracer.pop_request(request_id)),
-                workload=0 if workload_ids is None else int(workload_ids[request_id]),
-            )
-
-        cluster.on_complete = on_complete
     else:
         def on_complete(request_id: int) -> None:
             flags = chaos_flags.get(request_id) if chaos_flags else None
@@ -591,10 +463,9 @@ class SuiteSettings:
 
     kernel: str | None = None
     """Overrides ``serving.kernel`` when set (one of
-    :data:`repro.simulation.engine.KERNELS`); None keeps it.  Both
-    kernels replay bit-identical results (see
-    ``tests/test_kernel_equivalence.py``); ``"batched"`` trades the
-    reference event loop for the deque-merged one."""
+    :data:`repro.simulation.engine.KERNELS`); None keeps it.  See
+    :attr:`ServingConfig.kernel <repro.serving.simulator.ServingConfig.kernel>`
+    for what each kernel does."""
 
     arrivals: ArrivalProcess | None = None
     """Overrides ``schedule`` with any workload-subsystem arrival process

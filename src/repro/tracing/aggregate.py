@@ -11,9 +11,10 @@ the per-request E2E/CPU/stack *columns*.
 same ``record_interval`` entry point the simulator drives, but folds each
 interval straight into per-request bucket accumulators (ring-buffered
 per in-flight request and reused) and, on request completion, attributes
-those sums directly into preallocated columnar numpy arrays -- the exact
-columns :class:`~repro.experiments.runner.RunResult` stores.  No ``Span``
-is ever constructed and no per-request dataclass is retained.
+those sums straight into a :class:`~repro.tracing.columns.ResultColumns`
+-- the same store :class:`~repro.experiments.runner.RunResult` holds in
+FULL mode, which the result then adopts.  No ``Span`` is ever
+constructed and no per-request dataclass is retained.
 
 Equivalence contract (regression-tested): for any simulation, AGGREGATE
 mode produces **bit-identical** ``e2e``/``cpu``/stack columns to FULL
@@ -36,15 +37,9 @@ from __future__ import annotations
 
 import enum
 
-import numpy as np
-
 from repro.core.types import OpCategory
-from repro.tracing.attribution import (
-    CPU_BUCKETS,
-    E2E_BUCKETS,
-    EMBEDDED_BUCKETS,
-    AttributionError,
-)
+from repro.tracing.attribution import AttributionError
+from repro.tracing.columns import ResultColumns
 from repro.tracing.span import MAIN_SHARD, Layer
 
 
@@ -174,8 +169,8 @@ class AggregatingTracer:
     simulator side (same ``record_interval`` signature, same drain/assert
     API).  Completion is driven by :meth:`finalize_request`, which plays
     the role ``pop_request`` + ``attribute_request`` play in FULL mode:
-    it attributes the request's accumulated sums into the next row of the
-    preallocated output columns and recycles the in-flight state.
+    it attributes the request's accumulated sums into the next row of
+    :attr:`columns` and recycles the in-flight state.
     """
 
     def __init__(self, expected_requests: int = 0):
@@ -200,38 +195,8 @@ class AggregatingTracer:
         # measurable at millions of spans per sweep.
         self._last_id: int | None = None
         self._last_state: _RequestState | None = None
-        capacity = max(int(expected_requests), 16)
-        self._count = 0
-        self._e2e = np.empty(capacity)
-        self._cpu = np.empty(capacity)
-        self._workload = np.zeros(capacity, dtype=np.int64)
-        # Chaos columns (request id, status, degraded, retries): rows are
-        # in completion order, and under fault injection completion order
-        # is not request order, so the id column is what maps a row back
-        # to its arrival time for availability timelines.
-        self._rid = np.empty(capacity, dtype=np.int64)
-        self._status = np.zeros(capacity, dtype=np.int64)
-        self._degraded = np.zeros(capacity, dtype=np.int64)
-        self._retries = np.zeros(capacity, dtype=np.int64)
-        # Resilience columns (attempts, hedged, deadline_exceeded), all
-        # zero without an active policy.
-        self._attempts = np.zeros(capacity, dtype=np.int64)
-        self._hedged = np.zeros(capacity, dtype=np.int64)
-        self._deadline = np.zeros(capacity, dtype=np.int64)
-        self._stack_cols: dict[tuple[str, str], np.ndarray] = {
-            (kind, bucket): np.empty(capacity)
-            for kind, buckets in (
-                ("latency", E2E_BUCKETS),
-                ("embedded", EMBEDDED_BUCKETS),
-                ("cpu", CPU_BUCKETS),
-            )
-            for bucket in buckets
-        }
-        # Per-shard demand columns, keyed by shard index (MAIN_SHARD = -1).
-        # Created lazily on first touch and zero-filled: a request that
-        # never reaches a shard contributes exactly 0.0 to its column.
-        self._shard_cpu_cols: dict[int, np.ndarray] = {}
-        self._shard_op_cols: dict[int, np.ndarray] = {}
+        #: The finished rows; ``RunResult.adopt_aggregate`` takes it over.
+        self.columns = ResultColumns(expected_requests)
 
     # -- recording (hot path) ---------------------------------------------
     def record_interval(
@@ -398,140 +363,30 @@ class AggregatingTracer:
             cpu_service = state.cpu_service
             cpu_total = 0 + cpu_ops + cpu_serde + cpu_service
 
-            index = self._count
-            if index == len(self._e2e):
-                self._grow(2 * index)
-            self._e2e[index] = e2e
-            self._cpu[index] = cpu_total
             workload_ids = self.workload_ids
-            self._workload[index] = (
-                0 if workload_ids is None else int(workload_ids[request_id])
-            )
-            self._rid[index] = request_id
             chaos_flags = self.chaos_flags
-            if chaos_flags is not None:
-                flags = chaos_flags.get(request_id)
-                if flags is not None:
-                    degraded, retried = flags
-                    self._status[index] = 1 if degraded else 0
-                    self._degraded[index] = degraded
-                    self._retries[index] = retried
             resilience_flags = self.resilience_flags
-            if resilience_flags is not None:
-                rflags = resilience_flags.get(request_id)
-                if rflags is not None:
-                    attempts, hedged, deadline_exceeded = rflags
-                    self._attempts[index] = attempts
-                    self._hedged[index] = hedged
-                    self._deadline[index] = deadline_exceeded
-            cols = self._stack_cols
-            cols["latency", E2E_BUCKETS[0]][index] = dense
-            cols["latency", E2E_BUCKETS[1]][index] = embedded
-            cols["latency", E2E_BUCKETS[2]][index] = serde
-            cols["latency", E2E_BUCKETS[3]][index] = rpc_service
-            cols["latency", E2E_BUCKETS[4]][index] = overhead
-            cols["embedded", EMBEDDED_BUCKETS[0]][index] = emb_sparse
-            cols["embedded", EMBEDDED_BUCKETS[1]][index] = emb_serde
-            cols["embedded", EMBEDDED_BUCKETS[2]][index] = emb_service
-            cols["embedded", EMBEDDED_BUCKETS[3]][index] = emb_overhead
-            cols["embedded", EMBEDDED_BUCKETS[4]][index] = emb_network
-            cols["cpu", CPU_BUCKETS[0]][index] = cpu_ops
-            cols["cpu", CPU_BUCKETS[1]][index] = cpu_serde
-            cols["cpu", CPU_BUCKETS[2]][index] = cpu_service
-            capacity = len(self._e2e)
-            shard_cpu_cols = self._shard_cpu_cols
-            for shard, value in state.shard_cpu.items():
-                col = shard_cpu_cols.get(shard)
-                if col is None:
-                    col = shard_cpu_cols[shard] = np.zeros(capacity)
-                col[index] = value
-            shard_op_cols = self._shard_op_cols
-            for shard, value in state.shard_op.items():
-                col = shard_op_cols.get(shard)
-                if col is None:
-                    col = shard_op_cols[shard] = np.zeros(capacity)
-                col[index] = value
-            self._count = index + 1
+            self.columns.append(
+                request_id,
+                0 if workload_ids is None else int(workload_ids[request_id]),
+                e2e,
+                cpu_total,
+                (
+                    dense, embedded, serde, rpc_service, overhead,
+                    emb_sparse, emb_serde, emb_service, emb_overhead, emb_network,
+                    cpu_ops, cpu_serde, cpu_service,
+                ),
+                state.shard_cpu,
+                state.shard_op,
+                None if chaos_flags is None else chaos_flags.get(request_id),
+                None if resilience_flags is None else resilience_flags.get(request_id),
+            )
         finally:
             self._pool.append(state)
 
-    def _grow(self, capacity: int) -> None:
-        def grown(array: np.ndarray) -> np.ndarray:
-            out = np.empty(capacity, dtype=array.dtype)
-            out[: self._count] = array[: self._count]
-            return out
-
-        def grown_zeros(array: np.ndarray) -> np.ndarray:
-            out = np.zeros(capacity, dtype=array.dtype)
-            out[: self._count] = array[: self._count]
-            return out
-
-        self._e2e = grown(self._e2e)
-        self._cpu = grown(self._cpu)
-        self._workload = grown(self._workload)
-        self._rid = grown(self._rid)
-        self._status = grown_zeros(self._status)
-        self._degraded = grown_zeros(self._degraded)
-        self._retries = grown_zeros(self._retries)
-        self._attempts = grown_zeros(self._attempts)
-        self._hedged = grown_zeros(self._hedged)
-        self._deadline = grown_zeros(self._deadline)
-        self._stack_cols = {key: grown(col) for key, col in self._stack_cols.items()}
-        self._shard_cpu_cols = {
-            key: grown_zeros(col) for key, col in self._shard_cpu_cols.items()
-        }
-        self._shard_op_cols = {
-            key: grown_zeros(col) for key, col in self._shard_op_cols.items()
-        }
-
-    # -- column export -----------------------------------------------------
     @property
     def count(self) -> int:
-        return self._count
-
-    def export_columns(
-        self,
-    ) -> tuple[
-        int,
-        np.ndarray,
-        np.ndarray,
-        dict[tuple[str, str], np.ndarray],
-        np.ndarray,
-        dict[int, np.ndarray],
-        dict[int, np.ndarray],
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-    ]:
-        """Hand over the backing arrays (count, e2e, cpu, stack columns,
-        workload indices, per-shard CPU columns, per-shard op-time columns,
-        the chaos columns: request ids, status, degraded, retries, then
-        the resilience columns: attempts, hedged, deadline_exceeded).
-
-        The caller (``RunResult.adopt_aggregate``) slices by count; the
-        arrays are *not* copied, so a tracer must not be reused after
-        export.
-        """
-        return (
-            self._count,
-            self._e2e,
-            self._cpu,
-            self._stack_cols,
-            self._workload,
-            self._shard_cpu_cols,
-            self._shard_op_cols,
-            self._rid,
-            self._status,
-            self._degraded,
-            self._retries,
-            self._attempts,
-            self._hedged,
-            self._deadline,
-        )
+        return self.columns.count
 
     # -- lifecycle / parity with Tracer ------------------------------------
     def in_flight(self) -> int:

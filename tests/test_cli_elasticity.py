@@ -82,6 +82,17 @@ class TestCli:
             ["plan", "--pooling-requests"],
             ["shard", "--shards"],
             ["chaos", "--shards"],
+            ["suite", "--workers"],
+            ["plan", "--workers"],
+            ["chaos", "--workers"],
+            ["chaos", "--replicas"],
+            ["plan", "--assess-replicas"],
+            ["chaos", "--domains"],
+            ["plan", "--domains"],
+            ["chaos", "--misses"],
+            ["workload", "--hours"],
+            ["plan", "--hours"],
+            ["chaos", "--hours"],
         ],
         ids=" ".join,
     )

@@ -20,10 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments import (
+    ShardingConfiguration,
     SuiteSettings,
+    build_plan,
+    run_configuration,
     run_suite,
     run_suite_parallel,
+    suite_requests,
 )
+from repro.experiments.runner import RunResult
 from repro.models import (
     FeatureScope,
     ModelConfig,
@@ -36,9 +41,11 @@ from repro.models import (
 )
 from repro.requests import RequestGenerator
 from repro.requests.generator import _DAY_SECONDS, _poisson_sum
-from repro.serving import ServingConfig
+from repro.serving import ClusterSimulation, ServingConfig, TraceMode
 from repro.sharding import estimate_pooling_factors
 from repro.sharding.pooling import clear_pooling_cache
+from repro.tracing import AggregatingTracer, attribute_request
+from repro.tracing.columns import STACK_KEYS
 
 SETTINGS = SuiteSettings(
     num_requests=25, pooling_requests=120, serving=ServingConfig(seed=1)
@@ -240,41 +247,69 @@ class TestColumnarRunResult:
         assert np.array_equal(
             result.cpu, np.array([a.cpu_total for a in result.attributions])
         )
-        columns = result.stack_columns("latency")
-        for i, attribution in enumerate(result.attributions):
-            for bucket, value in attribution.latency_stack.items():
-                assert columns[bucket][i] == value
+        for kind in ("latency", "embedded", "cpu"):
+            columns = result.stack_columns(kind)
+            for i, attribution in enumerate(result.attributions):
+                stack = getattr(attribution, f"{kind}_stack")
+                assert list(columns) == list(stack)
+                for bucket, value in stack.items():
+                    assert columns[bucket][i] == value, (kind, bucket, i)
 
     def test_embedded_totals_match(self, result):
         expected = np.array([a.embedded_total for a in result.attributions])
         assert np.allclose(result.embedded_totals, expected, rtol=1e-12, atol=0.0)
 
-    def test_row_views_rebuild_equal_dicts(self, result):
-        stacks = result.cpu_stacks()
-        assert len(stacks) == 25
-        for stack, attribution in zip(stacks, result.attributions):
-            assert stack == attribution.cpu_stack
-
-    def test_growth_beyond_initial_capacity(self):
-        small = SuiteSettings(
-            num_requests=40, pooling_requests=120, serving=ServingConfig(seed=1)
-        )
-        from repro.experiments import ShardingConfiguration, build_plan, run_configuration, suite_requests
-        from repro.experiments.runner import RunResult
-
+    @pytest.mark.parametrize(
+        "mode", [TraceMode.FULL, TraceMode.AGGREGATE], ids=lambda mode: mode.value
+    )
+    def test_growth_beyond_initial_capacity(self, mode):
+        """A store preallocated for 4 rows grows past its capacity in both
+        trace modes and still equals a preallocated FULL run."""
         model = drm1()
+        small = SuiteSettings(num_requests=40, pooling_requests=120)
         requests = suite_requests(model, small)
-        plan = build_plan(model, ShardingConfiguration("singular"))
-        result = RunResult(model.name, plan.label, plan, expected_requests=4)
-        from repro.serving.simulator import ClusterSimulation
-        from repro.tracing.attribution import attribute_request
+        plan = build_plan(
+            model,
+            ShardingConfiguration("load-bal", 2),
+            estimate_pooling_factors(model, num_requests=120, seed=42),
+        )
+        serving = ServingConfig(seed=1, trace_mode=mode)
+        expected = run_configuration(model, plan, requests, ServingConfig(seed=1))
 
-        cluster = ClusterSimulation(model, plan, ServingConfig(seed=1))
-        cluster.on_complete = lambda rid: result.add(
-            attribute_request(cluster.tracer.pop_request(rid))
-        )
-        cluster.run_serial(requests)
-        assert len(result) == 40
-        assert np.array_equal(
-            result.e2e, np.array([a.e2e for a in result.attributions])
-        )
+        result = RunResult(model.name, plan.label, plan, expected_requests=4)
+        if mode is TraceMode.AGGREGATE:
+            tracer = AggregatingTracer(expected_requests=4)
+            cluster = ClusterSimulation(model, plan, serving, tracer=tracer)
+            cluster.on_complete = tracer.finalize_request
+            cluster.run_serial(requests)
+            result.adopt_aggregate(tracer)
+        else:
+            cluster = ClusterSimulation(model, plan, serving)
+            cluster.on_complete = lambda rid: result.add(
+                attribute_request(cluster.tracer.pop_request(rid))
+            )
+            cluster.run_serial(requests)
+        columns = result.columns
+        assert len(result) == 40 and len(columns.e2e) == 64
+        assert np.array_equal(result.e2e, expected.e2e)
+        assert np.array_equal(result.cpu, expected.cpu)
+        assert np.array_equal(result.request_ids, expected.request_ids)
+        for kind in ("latency", "embedded", "cpu"):
+            for bucket, column in result.stack_columns(kind).items():
+                assert np.array_equal(column, expected.stack_columns(kind)[bucket])
+        assert result.mean_cpu_by_shard() == expected.mean_cpu_by_shard()
+        assert result.mean_per_shard_op_time() == expected.mean_per_shard_op_time()
+
+        # A shard first seen after the growth steps: its column starts
+        # zero for every earlier row and stays so through the next growth.
+        stack = (0.0,) * len(STACK_KEYS)
+        columns.append(1000, 0, 1.0, 1.0, stack, {99: 1.5}, {99: 2.5})
+        while len(columns.e2e) == 64:
+            columns.append(1001, 0, 1.0, 1.0, stack, {}, {})
+        for shard_columns, value in ((columns.shard_cpu, 1.5), (columns.shard_op, 2.5)):
+            column = shard_columns[99]
+            assert len(column) == 128
+            assert not column[:40].any()
+            assert column[40] == value
+            assert not column[41:].any()
+        assert np.array_equal(columns.e2e[:40], expected.e2e)

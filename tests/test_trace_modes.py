@@ -35,6 +35,15 @@ def assert_results_identical(full, aggregate):
         assert len(f) == len(a)
         assert np.array_equal(f.e2e, a.e2e), label
         assert np.array_equal(f.cpu, a.cpu), label
+        for column in (
+            "request_ids", "workloads", "status", "degraded", "retries",
+            "attempts", "hedged", "deadline_exceeded",
+        ):
+            assert np.array_equal(getattr(f, column), getattr(a, column)), (
+                label, column,
+            )
+        assert f.mean_cpu_by_shard() == a.mean_cpu_by_shard(), label
+        assert f.mean_per_shard_op_time() == a.mean_per_shard_op_time(), label
         for kind in ("latency", "embedded", "cpu"):
             full_cols = f.stack_columns(kind)
             agg_cols = a.stack_columns(kind)
