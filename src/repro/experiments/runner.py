@@ -277,7 +277,8 @@ class RunResult:
         empty; the per-shard demand columns come along, so
         :meth:`mean_cpu_by_shard` and :meth:`mean_per_shard_op_time` work
         identically in both trace modes (only the per-(shard, net)
-        breakdown still needs FULL).
+        breakdown still needs FULL).  The store is shared, not copied, so
+        the tracer must not finalize further requests.
         """
         self.columns = tracer.columns
 
