@@ -29,13 +29,10 @@ def build_artifacts(suites):
     # Distributed embedded-portion cost (8-shard load-bal vs singular).
     results = suites.serial("DRM1")
     singular_emb = np.mean(
-        [a.latency_stack[EMBEDDED_PORTION] for a in results[SINGULAR].attributions]
+        results[SINGULAR].stack_columns("latency")[EMBEDDED_PORTION]
     )
     distributed_emb = np.mean(
-        [
-            a.latency_stack[EMBEDDED_PORTION]
-            for a in results["load-bal 8 shards"].attributions
-        ]
+        results["load-bal 8 shards"].stack_columns("latency")[EMBEDDED_PORTION]
     )
     added = distributed_emb - singular_emb
 

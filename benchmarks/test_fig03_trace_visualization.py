@@ -9,7 +9,7 @@ layers.  Asserts the structural properties the paper reads off the trace.
 from repro.analysis import save_artifact
 from repro.experiments.configs import ShardingConfiguration, build_plan
 from repro.requests import RequestGenerator
-from repro.serving import ClusterSimulation, ServingConfig
+from repro.serving import ClusterSimulation, ServingConfig, TraceMode
 from repro.tracing import Layer, MAIN_SHARD, render_trace
 
 
@@ -19,7 +19,10 @@ def trace_one_request(suites):
     plan = build_plan(
         model, ShardingConfiguration("load-bal", 4), suites.pooling("DRM1")
     )
-    sim = ClusterSimulation(model, plan, ServingConfig(seed=1))
+    # The timeline is drawn from spans, so this replay retains them.
+    sim = ClusterSimulation(
+        model, plan, ServingConfig(seed=1, trace_mode=TraceMode.FULL)
+    )
     sim.run_serial([request])
     return sim.tracer.for_request(0)
 

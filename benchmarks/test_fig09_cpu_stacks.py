@@ -53,7 +53,7 @@ def test_fig09_cpu_stacks(benchmark, suites):
 
     # Compute overhead tracks RPC-op count (Section VI-C1).
     rpc_counts = {
-        label: np.mean([a.rpcs for a in result.attributions])
+        label: np.mean(result.rpcs)
         for label, result in results.items()
         if label != SINGULAR
     }

@@ -40,11 +40,7 @@ def test_fig13_batching_latency(benchmark, suites):
     # the mechanism behind DRM1's stronger batching interaction.
     import numpy as np
 
-    drm1_batches = np.mean(
-        [a.num_batches for a in default_results["DRM1"][SINGULAR].attributions]
-    )
-    drm2_batches = np.mean(
-        [a.num_batches for a in default_results["DRM2"][SINGULAR].attributions]
-    )
+    drm1_batches = np.mean(default_results["DRM1"][SINGULAR].num_batches)
+    drm2_batches = np.mean(default_results["DRM2"][SINGULAR].num_batches)
     print(f"mean batches/request: DRM1 {drm1_batches:.2f}, DRM2 {drm2_batches:.2f}")
     assert drm1_batches > 1.3 * drm2_batches

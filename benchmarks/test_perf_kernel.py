@@ -14,8 +14,10 @@ three event classes that dominate sweeps:
 
 :func:`measure_kernel_ops` is imported by ``test_perf_throughput.py`` to
 embed a ``kernel_ops`` entry in ``results/BENCH_throughput.json``; the
-test here also records a standalone ``results/BENCH_kernel_ops.json``
-so the microbenchmark has its own artifact trajectory.  The per-kernel
+test here also records a standalone ``BENCH_kernel_ops.json`` (under
+``results/smoke/`` unless ``REPRO_BENCH_RECORD=1``, see
+:func:`repro.analysis.bench.record_benchmark`) so the microbenchmark has
+its own artifact trajectory.  The per-kernel
 ops/sec double as a machine-speed proxy: CI's perf-regression guard
 normalizes the committed sweep baseline by the reference kernel's
 measured ops/sec before comparing, so a slow runner is not mistaken for

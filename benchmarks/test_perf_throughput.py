@@ -4,8 +4,10 @@ Times the stages the fast path optimized -- request generation, the DES
 sweep in both trace modes, the parallel sweep runner, a co-located
 diurnal ``WorkloadMix`` sweep in AGGREGATE mode, and a closed-loop
 ``CapacityPlanner`` search over that mix -- and records
-simulated-requests-per-second into ``results/BENCH_throughput.json`` via
-:func:`repro.analysis.bench.record_benchmark`.  CI uploads the JSON as an
+simulated-requests-per-second into ``BENCH_throughput.json`` via
+:func:`repro.analysis.bench.record_benchmark` (the committed
+``results/`` copy only under ``REPRO_BENCH_RECORD=1``, else
+``results/smoke/``).  CI uploads the JSON as an
 artifact; comparing it across commits is the perf-regression trajectory
 for the experiment pipeline (the ``mix_sweep`` entry starts the
 mixed-workload branch of that trajectory, ``plan_sweep`` the
@@ -123,13 +125,18 @@ def _span_bytes_per_instance(count: int = 10_000) -> float:
 
 def test_perf_throughput():
     model = drm1()
+    # Every rung below except the batched and vectorized ones records a
+    # reference-kernel rate, so both settings pin that kernel (and the
+    # trace mode) instead of taking the library defaults.
     settings = SuiteSettings(
-        num_requests=BENCH_REQUESTS, serving=ServingConfig(seed=1)
+        num_requests=BENCH_REQUESTS,
+        serving=ServingConfig(seed=1, kernel="reference"),
+        trace_mode=TraceMode.FULL,
     )
     trace_mode = TraceMode(os.environ.get("REPRO_TRACE_MODE", "full"))
     aggregate_settings = SuiteSettings(
         num_requests=BENCH_REQUESTS,
-        serving=ServingConfig(seed=1),
+        serving=ServingConfig(seed=1, kernel="reference"),
         trace_mode=TraceMode.AGGREGATE,
     )
 

@@ -13,7 +13,7 @@ from repro.core.types import US
 from repro.experiments.configs import ShardingConfiguration, build_plan
 from repro.models import drm1
 from repro.requests import RequestGenerator
-from repro.serving import ClusterSimulation, ServingConfig
+from repro.serving import ClusterSimulation, ServingConfig, TraceMode
 from repro.sharding import estimate_pooling_factors
 from repro.tracing import attribute_request, render_trace
 
@@ -32,8 +32,11 @@ def main() -> None:
     plan = build_plan(model, ShardingConfiguration("load-bal", 4), pooling)
 
     # Clock skew is injected deliberately: the attribution below is
-    # invariant to it (Section IV-B's duration-difference method).
-    config = ServingConfig(seed=1, clock_skew_sigma=0.05)
+    # invariant to it (Section IV-B's duration-difference method).  The
+    # trace is rendered from spans, so this replay retains them (FULL).
+    config = ServingConfig(
+        seed=1, clock_skew_sigma=0.05, trace_mode=TraceMode.FULL
+    )
     cluster = ClusterSimulation(model, plan, config)
     request = RequestGenerator(model, seed=3).generate(0)
     cluster.run_serial([request])

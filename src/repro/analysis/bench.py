@@ -2,10 +2,15 @@
 
 Perf work needs a tracked trajectory, not one-off timings: the throughput
 benchmark (``benchmarks/test_perf_throughput.py``) records
-simulated-requests-per-second and its companion metrics into
-``results/BENCH_throughput.json`` on every run, and CI uploads the file
-as an artifact.  Comparing the JSON across commits is the repo's
-regression story for the simulation fast path.
+simulated-requests-per-second and its companion metrics into a
+``BENCH_throughput.json``, and CI uploads the file as an artifact.
+Comparing the committed JSON across commits is the repo's regression
+story for the simulation fast path.
+
+Only a deliberate recording run (``REPRO_BENCH_RECORD=1``) writes the
+committed ``results/BENCH_*.json``; every other run -- the tier-1 suite,
+CI smokes -- writes single-shot numbers to the git-ignored
+``results/smoke/``, so a test run never rewrites the trajectory.
 """
 
 from __future__ import annotations
@@ -18,16 +23,28 @@ import time
 
 from repro.analysis.report import save_artifact
 
+#: Environment knob: ``1`` writes the committed ``results/BENCH_*.json``;
+#: unset (or anything else) writes under :data:`SMOKE_DIR`.
+RECORD_ENV = "REPRO_BENCH_RECORD"
+#: Subdirectory of the results directory that smoke runs write to.
+SMOKE_DIR = "smoke"
+
 
 def record_benchmark(
     name: str, metrics: dict[str, object], results_dir: str | None = None
 ) -> str:
-    """Write ``results/BENCH_<name>.json`` and return its path.
+    """Write ``BENCH_<name>.json`` and return its path.
 
-    ``metrics`` must be JSON-serializable.  A small environment header
-    (python version, platform, request-count knob, wall time) is added so
-    numbers from different machines are not compared blindly.
+    The file lands in the results directory (``results_dir``, else
+    ``REPRO_RESULTS_DIR``, else ``results``) when ``REPRO_BENCH_RECORD=1``
+    and in its ``smoke/`` subdirectory otherwise.  ``metrics`` must be
+    JSON-serializable.  A small environment header (python version,
+    platform, request-count knob, wall time) is added so numbers from
+    different machines are not compared blindly.
     """
+    directory = results_dir or os.environ.get("REPRO_RESULTS_DIR", "results")
+    if os.environ.get(RECORD_ENV) != "1":
+        directory = os.path.join(directory, SMOKE_DIR)
     payload = {
         "benchmark": name,
         # Benchmark artifacts are *about* the host, so the wall-clock
@@ -41,7 +58,7 @@ def record_benchmark(
     }
     return save_artifact(
         f"BENCH_{name}.json", json.dumps(payload, indent=2, sort_keys=True),
-        results_dir=results_dir,
+        results_dir=directory,
     )
 
 

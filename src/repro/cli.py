@@ -113,11 +113,11 @@ def _add_model_argument(parser: argparse.ArgumentParser) -> None:
 
 def _add_trace_mode_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--trace-mode", default=TraceMode.FULL.value,
+        "--trace-mode", default=ServingConfig().trace_mode.value,
         choices=[mode.value for mode in TraceMode],
-        help="'full' materializes spans (per-shard breakdowns available); "
-        "'aggregate' is the span-free fast path with identical "
-        "latency/CPU/stack columns",
+        help="'aggregate' (the default) is the span-free fast path; "
+        "'full' also materializes spans and retains per-request "
+        "attributions -- every printed column is identical either way",
     )
 
 
@@ -128,12 +128,13 @@ def _trace_mode(args: argparse.Namespace) -> TraceMode:
 def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--kernel", default=DEFAULT_KERNEL, choices=list(KERNELS),
-        help="DES event-loop kernel: 'reference' is the heap-only loop, "
+        help="replay kernel: 'vectorized' (the default) replays eligible "
+        "runs (serial closed-loop, chaos-free, aggregate tracing) as "
+        "columnar numpy programs and falls back to 'batched' otherwise; "
         "'batched' merges a same-timestamp deque with the heap and grants "
-        "free resources synchronously, 'vectorized' replays eligible runs "
-        "(serial closed-loop, chaos-free, aggregate tracing) as columnar "
-        "numpy programs and falls back to 'batched' otherwise -- results "
-        "are bit-identical (tests/test_kernel_equivalence.py)",
+        "free resources synchronously; 'reference' is the heap-only loop "
+        "the other two are pinned to -- results are bit-identical "
+        "(tests/test_kernel_equivalence.py)",
     )
 
 
@@ -696,7 +697,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
     pooling = estimate_pooling_factors(model, num_requests=args.pooling_requests)
     plan = build_plan(model, _configuration(args), pooling)
     request = RequestGenerator(model, seed=args.seed).generate(args.request_id)
-    cluster = ClusterSimulation(model, plan, ServingConfig(seed=args.seed))
+    # Rendering reads spans, so this is the one verb that asks for FULL.
+    cluster = ClusterSimulation(
+        model, plan, ServingConfig(seed=args.seed, trace_mode=TraceMode.FULL)
+    )
     cluster.run_serial([request])
     print(render_trace(cluster.tracer.for_request(request.request_id), width=args.width))
     return 0

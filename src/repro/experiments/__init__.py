@@ -14,16 +14,21 @@ Sizing and throughput knobs
   configuration matrix out over ``multiprocessing`` and is byte-identical
   to the serial :func:`~repro.experiments.runner.run_suite`.
 * ``SuiteSettings.trace_mode`` / ``ServingConfig.trace_mode`` --
-  :class:`~repro.tracing.aggregate.TraceMode.AGGREGATE` runs sweeps with
-  the span-free tracer: identical e2e/cpu/stack *and per-shard demand*
-  columns, no retained per-request attributions (only the per-(shard,
-  net) breakdown of Figure 10 still needs FULL), and markedly faster
-  large sweeps.  The CLI exposes it as ``--trace-mode``.
+  :class:`~repro.tracing.aggregate.TraceMode.AGGREGATE` (the default)
+  runs sweeps with the span-free tracer: every result column every
+  figure reads, per-shard and per-(shard, net) demand included, with no
+  retained per-request attributions.  ``FULL`` adds spans and
+  attributions for code that reads them (``repro trace``, Figure 3).
+  ``SuiteSettings.kernel`` / ``ServingConfig.kernel`` default to
+  ``"vectorized"``: eligible runs replay as columnar numpy programs, the
+  rest on the batched DES (reason on ``RunResult.kernel_fallback``).
+  The CLI exposes both as ``--trace-mode`` / ``--kernel``.
 * ``results/BENCH_throughput.json`` -- simulated-requests-per-second
   trajectory (full + aggregate trace modes, plus the co-located diurnal
   ``mix_sweep`` entry), rewritten by
   ``benchmarks/test_perf_throughput.py`` via
-  :func:`repro.analysis.bench.record_benchmark`.
+  :func:`repro.analysis.bench.record_benchmark` only when
+  ``REPRO_BENCH_RECORD=1`` (other runs write ``results/smoke/``).
 * ``SuiteSettings.arrivals`` / ``repro.workloads`` -- any
   :class:`~repro.workloads.arrivals.ArrivalProcess` (diurnal, MMPP,
   constant-rate) can drive a classic suite; multi-model co-location runs

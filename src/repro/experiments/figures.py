@@ -73,6 +73,12 @@ def fig1_model_growth() -> FigureArtifact:
 
 
 # -- Figure 4 -------------------------------------------------------------------
+def _sequential_total(values: np.ndarray) -> float:
+    """Left-to-right sum of a column (``np.sum``'s pairwise order would
+    change the bits the committed figure text rounds from)."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
 def fig4_operator_attribution(
     singular_results: dict[str, RunResult], models: dict[str, ModelConfig]
 ) -> FigureArtifact:
@@ -83,8 +89,8 @@ def fig4_operator_attribution(
     """
     shares: dict[str, dict[str, float]] = {}
     for name, result in singular_results.items():
-        sparse = sum(a.sparse_op_cpu for a in result.attributions)
-        dense = sum(a.dense_op_cpu for a in result.attributions)
+        sparse = _sequential_total(result.sparse_op_cpu)
+        dense = _sequential_total(result.dense_op_cpu)
         total = sparse + dense
         mix = models[name].nets[0].op_mix
         model_shares = {"Sparse": sparse / total}

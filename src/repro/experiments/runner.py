@@ -2,11 +2,13 @@
 
 One :class:`RunResult` holds everything the figure generators need for one
 (model, sharding configuration, serving configuration) cell: the
-per-request columns (E2E latency, aggregate CPU, stacks, flags, per-shard
+per-request columns (E2E latency, aggregate CPU, batch/RPC counts,
+operator CPU by category, stacks, flags, per-shard and per-(shard, net)
 demand) in a :class:`~repro.tracing.columns.ResultColumns`, the store
 both trace modes write, plus -- in FULL mode only -- the per-request
-attributions.  Traces are attributed incrementally as requests complete
-and raw spans are freed, so full sweeps stay memory-bounded.
+attributions, the one output no figure reads.  Traces are attributed
+incrementally as requests complete and raw spans are freed, so full
+sweeps stay memory-bounded.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.sharding.plan import ShardingPlan
 from repro.sharding.pooling import estimate_pooling_factors
 from repro.tracing.aggregate import AggregatingTracer, TraceMode
 from repro.tracing.attribution import RequestAttribution, attribute_request
-from repro.tracing.columns import ResultColumns
+from repro.tracing.columns import Key, ResultColumns
 from repro.workloads.arrivals import ArrivalProcess
 from repro.workloads.workload import MixedStream, WorkloadMix
 from repro.experiments.configs import (
@@ -93,8 +95,8 @@ class RunResult:
     Figure generation therefore reads ready-made arrays instead of
     rebuilding them from the list of :class:`RequestAttribution`
     dataclasses on every access.  The full attributions are retained
-    (FULL mode only) for the per-(shard, net) breakdown and ad-hoc
-    inspection.
+    (FULL mode only) for ad-hoc inspection; every figure input is a
+    column, so figures read identically from either mode.
     """
 
     def __init__(
@@ -160,6 +162,10 @@ class RunResult:
             workload,
             attribution.e2e,
             attribution.cpu_total,
+            attribution.num_batches,
+            attribution.rpcs,
+            attribution.sparse_op_cpu,
+            attribution.dense_op_cpu,
             (
                 *attribution.latency_stack.values(),
                 *attribution.embedded_stack.values(),
@@ -167,6 +173,7 @@ class RunResult:
             ),
             attribution.per_shard_cpu,
             attribution.per_shard_op_time,
+            attribution.per_shard_net_op_time,
             (degraded, retries) if degraded or retries else None,
             (attempts, hedged, deadline_exceeded)
             if attempts or hedged or deadline_exceeded
@@ -184,6 +191,26 @@ class RunResult:
     @property
     def cpu(self) -> np.ndarray:
         return self.columns.cpu[: len(self)]
+
+    @property
+    def num_batches(self) -> np.ndarray:
+        """Per-request batch count (Section VI-F's batching axis)."""
+        return self.columns.num_batches[: len(self)]
+
+    @property
+    def rpcs(self) -> np.ndarray:
+        """Per-request count of client RPCs issued (0 on singular plans)."""
+        return self.columns.rpcs[: len(self)]
+
+    @property
+    def sparse_op_cpu(self) -> np.ndarray:
+        """Per-request sparse-operator CPU-seconds, summed over shards."""
+        return self.columns.sparse_op_cpu[: len(self)]
+
+    @property
+    def dense_op_cpu(self) -> np.ndarray:
+        """Per-request dense (non-sparse) operator CPU-seconds."""
+        return self.columns.dense_op_cpu[: len(self)]
 
     # -- chaos columns (both trace modes) ----------------------------------
     @property
@@ -273,20 +300,20 @@ class RunResult:
 
         The tracer attributed every completed request straight into its
         own :class:`ResultColumns`, so adoption is a pointer handoff -- no
-        per-request dataclasses were ever built.  ``attributions`` stays
-        empty; the per-shard demand columns come along, so
-        :meth:`mean_cpu_by_shard` and :meth:`mean_per_shard_op_time` work
-        identically in both trace modes (only the per-(shard, net)
-        breakdown still needs FULL).  The store is shared, not copied, so
-        the tracer must not finalize further requests.
+        per-request dataclasses were ever built.  Every column comes
+        along, the per-shard and per-(shard, net) demand columns
+        included, so every accessor and every figure reads identically in
+        both trace modes; only ``attributions`` stays empty.  The store
+        is shared, not copied, so the tracer must not finalize further
+        requests.
         """
         self.columns = tracer.columns
 
     # -- per-shard demand (both trace modes) -------------------------------
     def _mean_shard_columns(
-        self, cols: dict[int, np.ndarray], workload: str | None
-    ) -> dict[int, float]:
-        """Per-shard column means over completed requests, sorted by shard.
+        self, cols: dict[Key, np.ndarray], workload: str | None
+    ) -> dict[Key, float]:
+        """Per-key column means over completed requests, sorted by key.
 
         Sums are strictly sequential in completion order (``np.cumsum``),
         reproducing the historical per-attribution Python accumulation
@@ -298,16 +325,16 @@ class RunResult:
             return {}
         if workload is None:
             return {
-                shard: float(np.cumsum(cols[shard][:count])[-1]) / count
-                for shard in sorted(cols)
+                key: float(np.cumsum(cols[key][:count])[-1]) / count
+                for key in sorted(cols)
             }
         mask = self.workload_mask(workload)
         selected = int(np.count_nonzero(mask))
         if selected == 0:
             return {}
         return {
-            shard: float(np.cumsum(cols[shard][:count][mask])[-1]) / selected
-            for shard in sorted(cols)
+            key: float(np.cumsum(cols[key][:count][mask])[-1]) / selected
+            for key in sorted(cols)
         }
 
     def mean_cpu_by_shard(self, workload: str | None = None) -> dict[int, float]:
@@ -326,16 +353,10 @@ class RunResult:
         return self._mean_shard_columns(self.columns.shard_op, workload)
 
     def mean_per_shard_net_op_time(self) -> dict[tuple[int, str], float]:
-        """Mean per-(shard, net) operator time; ``{}`` without attributions
-        (zero completed requests, or AGGREGATE trace mode -- the one
-        breakdown that still requires retained FULL attributions)."""
-        if not self.attributions:
-            return {}
-        totals: dict[tuple[int, str], float] = {}
-        for attribution in self.attributions:
-            for key, value in attribution.per_shard_net_op_time.items():
-                totals[key] = totals.get(key, 0.0) + value
-        return {key: v / len(self.attributions) for key, v in sorted(totals.items())}
+        """Mean per-(shard, net) sparse-operator time, sorted by
+        ``(shard, net name)`` (both trace modes, Figure 10); ``{}`` when
+        no request completed."""
+        return self._mean_shard_columns(self.columns.shard_net_op, None)
 
 
 def run_configuration(
@@ -353,11 +374,12 @@ def run_configuration(
     into the columnar arrays and the result adopts them wholesale --
     identical columns, no span or dataclass retention.
 
-    ``serving.kernel == "vectorized"`` dispatches eligible runs (serial
-    closed-loop, chaos-free, AGGREGATE) to the columnar replay engine
-    (:func:`repro.serving.columnar.run_vectorized`) -- bit-identical
-    columns, no event loop; ineligible runs fall back to the batched
-    kernel with the reason recorded on ``RunResult.kernel_fallback``.
+    ``serving.kernel == "vectorized"`` (the default) dispatches eligible
+    runs (serial closed-loop, chaos-free, AGGREGATE) to the columnar
+    replay engine (:func:`repro.serving.columnar.run_vectorized`) --
+    bit-identical columns, no event loop; ineligible runs fall back to
+    the batched kernel with the reason recorded on
+    ``RunResult.kernel_fallback``.
     """
     schedule = schedule or ReplaySchedule.serial()
     serving = serving or ServingConfig()

@@ -57,7 +57,15 @@ from repro.requests.generator import Request, request_payload_bytes
 from repro.requests.replayer import ReplayMode, ReplaySchedule
 from repro.sharding.plan import ShardingPlan, ShardSpec
 from repro.simulation.costmodel import CostModel, ranking_response_bytes
-from repro.simulation.engine import KERNELS, At, BatchedEngine, Engine, Event, make_engine
+from repro.simulation.engine import (
+    DEFAULT_KERNEL,
+    KERNELS,
+    At,
+    BatchedEngine,
+    Engine,
+    Event,
+    make_engine,
+)
 from repro.simulation.network import Fabric, FabricSpec
 from repro.simulation.platform import SC_LARGE, Platform
 from repro.tracing.aggregate import AggregatingTracer, TraceMode
@@ -107,10 +115,11 @@ class ServingConfig:
     """Stddev (seconds) of per-server wall-clock skew; trace timestamps are
     stamped with it, and attribution must stay skew-invariant."""
 
-    trace_mode: TraceMode = TraceMode.FULL
-    """FULL materializes spans (per-shard breakdowns available);
-    AGGREGATE accumulates columnar bucket sums span-free -- identical
-    e2e/cpu/stack columns, no retained attributions."""
+    trace_mode: TraceMode = TraceMode.AGGREGATE
+    """AGGREGATE (the default) accumulates every result column span-free;
+    FULL additionally materializes spans and retains per-request
+    attributions -- identical columns either way, so only code that reads
+    spans (trace rendering, ``RunResult.attributions``) asks for FULL."""
 
     chaos: "FaultSchedule | None" = None
     """Optional fault-injection schedule (see :mod:`repro.chaos.faults`).
@@ -126,18 +135,18 @@ class ServingConfig:
     *empty* policy installs no runtime and replays byte-identical to
     ``None``."""
 
-    kernel: str = "reference"
+    kernel: str = DEFAULT_KERNEL
     """DES kernel selector (see :data:`repro.simulation.engine.KERNELS`).
-    ``"reference"`` is the bit-exact historical event loop; ``"batched"``
-    batches same-timestamp scheduling through a FIFO now-queue, grants
-    free resources synchronously, and (chaos off) drives the fused
-    serving generators; ``"vectorized"`` replays eligible runs (serial
+    ``"vectorized"`` (the default) replays eligible runs (serial
     closed-loop, chaos-free, AGGREGATE tracing) as columnar numpy
     programs with no event loop (:mod:`repro.serving.columnar`) and
     falls back to ``"batched"`` otherwise, recording the reason on
-    ``RunResult.kernel_fallback`` -- results are regression-pinned
-    bit-identical to the reference kernel on every paper configuration
-    (``tests/test_kernel_equivalence.py``)."""
+    ``RunResult.kernel_fallback``; ``"batched"`` batches same-timestamp
+    scheduling through a FIFO now-queue, grants free resources
+    synchronously, and (chaos off) drives the fused serving generators;
+    ``"reference"`` is the bit-exact historical event loop, the oracle
+    the other two are regression-pinned bit-identical to on every paper
+    configuration (``tests/test_kernel_equivalence.py``)."""
 
     def __post_init__(self):
         if self.service_workers < 1:

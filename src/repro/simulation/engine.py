@@ -589,10 +589,12 @@ class BatchedEngine(Engine):
 #: batched kernel with a recorded reason (``RunResult.kernel_fallback``).
 KERNELS = ("reference", "batched", "vectorized")
 
-#: The kernel every surface defaults to; committed artifacts are
-#: produced with it and the batched kernel is regression-pinned
-#: bit-identical against it.
-DEFAULT_KERNEL = "reference"
+#: The kernel every surface defaults to (``ServingConfig.kernel``,
+#: ``--kernel``): columnar replay wherever eligible, the batched kernel
+#: otherwise.  Both are regression-pinned bit-identical to the
+#: ``"reference"`` kernel, which stays the oracle and is selected
+#: explicitly; committed artifacts regenerate byte-identical on either.
+DEFAULT_KERNEL = "vectorized"
 
 
 def make_engine(kernel: str = DEFAULT_KERNEL) -> Engine:

@@ -80,23 +80,25 @@ import heapq
 from repro.simulation.costmodel import CostModel
 from repro.simulation.network import Fabric
 from repro.simulation.platform import Platform
-from repro.tracing.aggregate import AggregatingTracer, _RequestState
+from repro.tracing.aggregate import NET_BITS, AggregatingTracer, _RequestState
 from repro.tracing.span import MAIN_SHARD
 
-# Record kinds: a compact re-encoding of the (layer, shard) dispatch of
-# AggregatingTracer.record_interval, restricted to the accumulations
-# that genuinely need global recording order (request CPU sums and
-# per-shard demand).  Kind is a sort tie-break only at jitter-laden
+# Record kinds: a compact re-encoding of the (layer, shard, category)
+# dispatch of AggregatingTracer.record_interval, restricted to the
+# accumulations that genuinely need global recording order (request CPU
+# sums, operator CPU by category, and per-shard and per-(shard, net)
+# demand).  Kind is a sort tie-break only at jitter-laden
 # (measure-zero) time collisions; the numbering puts the shard sparse
 # op before the client request serialization (the one same-sort-rank
 # pair: both use slot-position ``(k+1)*8+2``), matching the reference
 # tie order.
-_K_OPS_SLW = 0  # sls_remote (shard): cpu_ops + per-shard op time (dur)
+_K_OPS_SLW = 0  # sls_remote (shard): sparse op cpu + per-shard op time (dur)
 _K_SERDE = 1  # rpc_request_ser / rpc_deser / rpc_resp_ser / rpc_response_deser
-_K_OPS = 2  # dense_pre / dense_post / sls_local (main)
+_K_OPS = 2  # dense_pre / dense_post (main): dense op cpu
 _K_SERVICE = 3  # net_sched (main and shard)
 _K_SRS_SVC = 4  # rpc_resp_ser fused with rpc_e2e (always sort-adjacent:
 #                 same timestamp, consecutive slot-positions)
+_K_OPS_SLS = 5  # sls_local (main, singular plans only): sparse op cpu
 
 # One record: (time, key, kind, shard, cpu, dur), where ``key`` packs
 # ``batch << 26 | net << 20 | slot-position``.  (time, key) is the
@@ -105,7 +107,8 @@ _K_SRS_SVC = 4  # rpc_resp_ser fused with rpc_e2e (always sort-adjacent:
 # scheduling-sequence order at shared timestamps (lockstep batch chains
 # resume in batch order; same-chain records at one timestamp keep their
 # call positions); with each field in its fixed width, comparing keys
-# equals comparing (batch, net, slot-position) tuples.  slot-position
+# equals comparing (batch, net, slot-position) tuples, and
+# ``(key >> 20) & 63`` is the record's net index.  slot-position
 # packs the reference (slot, position) pair as ``(slot+1)*8 + position``
 # (main-side records use slot -1, shard-side records slot >= 0, and
 # positions stay below 8, so the packed int orders exactly like the
@@ -208,7 +211,9 @@ class VectorizedColumns(AggregatingTracer):
     :meth:`~repro.tracing.aggregate.AggregatingTracer.finalize_request`.
     Every ``+=`` below textually mirrors a ``record_interval`` branch;
     the record list arrives sorted in reference recording order, so the
-    float-accumulation order is the reference order.
+    float-accumulation order is the reference order.  Per-(shard, net)
+    keys pack the record's net index, which indexes :attr:`net_names`
+    (set once per run to the model's net names, in plan order).
     """
 
     #: Per-RPC fixed service cost (the rpc_e2e record's cpu, fused into
@@ -259,6 +264,7 @@ class VectorizedColumns(AggregatingTracer):
 
         shard_cpu = state.shard_cpu
         shard_op = state.shard_op
+        net_op = state.shard_net_op
         service_fixed = self.service_fixed
         # The request deserialization is always the first record (its
         # reference time precedes every batch-chain record) and the
@@ -268,16 +274,19 @@ class VectorizedColumns(AggregatingTracer):
         cpu_main = 0.0 + head_cpu
         cpu_ops = 0.0
         cpu_service = 0.0
+        sparse_op_cpu = 0.0
+        dense_op_cpu = 0.0
         # Seed the MAIN slot first so the dict's key order matches the
         # reference (head record inserts it before any shard key).
         shard_cpu[MAIN_SHARD] = 0.0
 
         shard_get = shard_cpu.get
         op_get = shard_op.get
+        net_get = net_op.get
         # Shard-side records outnumber main-side ones on every
         # multi-shard plan (4 vs ~2.4 per RPC), so they take the first
         # branch; MAIN_SHARD is -1, making ``shard >= 0`` the test.
-        for _t, _key, kind, shard, cpu, dur in records:
+        for _t, key, kind, shard, cpu, dur in records:
             if shard >= 0:
                 if kind == 1:
                     shard_cpu[shard] = shard_get(shard, 0.0) + cpu
@@ -285,7 +294,10 @@ class VectorizedColumns(AggregatingTracer):
                 elif kind == 0:
                     shard_cpu[shard] = shard_get(shard, 0.0) + cpu
                     cpu_ops += cpu
+                    sparse_op_cpu += cpu
                     shard_op[shard] = op_get(shard, 0.0) + dur
+                    packed = (shard << NET_BITS) | ((key >> 20) & 63)
+                    net_op[packed] = net_get(packed, 0.0) + dur
                 elif kind == 4:
                     # rpc_resp_ser (serde cpu) + rpc_e2e (fixed service
                     # cpu) -- always adjacent in reference order, so the
@@ -305,6 +317,10 @@ class VectorizedColumns(AggregatingTracer):
                     cpu_serde += cpu
                 elif kind == 2:
                     cpu_ops += cpu
+                    dense_op_cpu += cpu
+                elif kind == 5:
+                    cpu_ops += cpu
+                    sparse_op_cpu += cpu
                 else:
                     cpu_service += cpu
 
@@ -318,6 +334,8 @@ class VectorizedColumns(AggregatingTracer):
         state.cpu_ops = cpu_ops
         state.cpu_serde = cpu_serde
         state.cpu_service = cpu_service
+        state.sparse_op_cpu = sparse_op_cpu
+        state.dense_op_cpu = dense_op_cpu
         state.head_serde = head
         state.tail_serde = tail
         state.e2e = e2e
@@ -472,7 +490,7 @@ class SweepEvaluator:
                     work = net.local[i][b]
                     t0 = t
                     t = t0 + work
-                    add((t, rkey | 2, _K_OPS, MAIN_SHARD, work, 0.0))
+                    add((t, rkey | 2, _K_OPS_SLS, MAIN_SHARD, work, 0.0))
                     # The embedded window wraps the local SLS op: both
                     # buckets receive the same duration float.
                     d = t - t0 if no_skew else (t + skm) - (t0 + skm)

@@ -1,9 +1,10 @@
 """Cross-layer distributed tracing: spans, tracer, attribution.
 
-Two trace modes (:class:`~repro.tracing.aggregate.TraceMode`): ``FULL``
-materializes spans and retains per-request attributions; ``AGGREGATE``
-accumulates bucket sums span-free and emits bit-identical columnar
-results -- the sweep fast path.
+Two trace modes (:class:`~repro.tracing.aggregate.TraceMode`):
+``AGGREGATE`` (the default) accumulates bucket sums span-free and emits
+every result column; ``FULL`` also materializes spans and retains
+per-request attributions, with bit-identical columns -- only span
+readers (trace rendering, ad-hoc attribution inspection) ask for it.
 """
 
 from repro.tracing.aggregate import AggregatingTracer, TraceMode

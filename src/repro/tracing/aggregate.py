@@ -3,9 +3,9 @@
 Full tracing materializes ~180 :class:`~repro.tracing.span.Span` objects
 per request and attributes them post-hoc with several passes per request
 (:func:`~repro.tracing.attribution.attribute_request`).  That is the right
-tool for per-shard breakdowns (paper Figures 10-12) and trace rendering,
-but it dominates the cost of large configuration sweeps that only consume
-the per-request E2E/CPU/stack *columns*.
+tool for trace rendering and span inspection, but it dominates the cost
+of sweeps that only consume the per-request result *columns* -- which is
+every figure, per-shard breakdowns (paper Figures 10-12) included.
 
 :class:`AggregatingTracer` is the span-free alternative: it implements the
 same ``record_interval`` entry point the simulator drives, but folds each
@@ -48,13 +48,13 @@ class TraceMode(enum.Enum):
 
     FULL = "full"
     """Materialize every span; per-request attributions are retained, so
-    per-shard breakdowns and trace rendering are available."""
+    trace rendering and span inspection are available."""
 
     AGGREGATE = "aggregate"
-    """Span-free: the per-request E2E/CPU/stack columns plus the per-shard
-    CPU-demand and sparse-op-time columns are produced (bit-identical to
-    FULL).  Only per-(shard, net) breakdowns (Figure 10) still require
-    FULL's retained attributions."""
+    """Span-free: every per-request result column -- E2E/CPU/stacks,
+    batch and RPC counts, operator CPU by category, and the per-shard and
+    per-(shard, net) demand columns -- is produced bit-identical to FULL;
+    only the retained attributions (and spans) are missing."""
 
 
 # Hot-loop locals: enum attribute lookups are not free in CPython.
@@ -70,6 +70,13 @@ _SPARSE = OpCategory.SPARSE
 # Indices into a live-RPC accumulator entry [ops, serde, overhead, service].
 _R_OPS, _R_SERDE, _R_OVERHEAD, _R_SERVICE = 0, 1, 2, 3
 
+# Per-(shard, net) op-time accumulators are keyed by the packed int
+# ``shard << NET_BITS | net index`` (no tuple per record); finalization
+# unpacks each key to its ``(shard, net name)`` column key, once per
+# request.
+NET_BITS = 16
+_NET_MASK = (1 << NET_BITS) - 1
+
 
 class _RequestState:
     """Bucket accumulators for one in-flight request (pooled/reused)."""
@@ -78,8 +85,11 @@ class _RequestState:
         "cpu_ops",
         "cpu_serde",
         "cpu_service",
+        "sparse_op_cpu",
+        "dense_op_cpu",
         "shard_cpu",
         "shard_op",
+        "shard_net_op",
         "head_serde",
         "tail_serde",
         "e2e",
@@ -102,6 +112,7 @@ class _RequestState:
     def __init__(self):
         self.shard_cpu: dict[int, float] = {}
         self.shard_op: dict[int, float] = {}
+        self.shard_net_op: dict[int, float] = {}
         self.batch_dense: list[float] = []
         self.batch_embedded: list[float] = []
         self.batch_serde: list[float] = []
@@ -114,9 +125,12 @@ class _RequestState:
     def reset(self) -> None:
         self.shard_cpu.clear()
         self.shard_op.clear()
+        self.shard_net_op.clear()
         self.cpu_ops = 0.0
         self.cpu_serde = 0.0
         self.cpu_service = 0.0
+        self.sparse_op_cpu = 0.0
+        self.dense_op_cpu = 0.0
         self.head_serde = 0.0
         self.tail_serde = 0.0
         self.e2e = 0.0
@@ -197,6 +211,10 @@ class AggregatingTracer:
         self._last_state: _RequestState | None = None
         #: The finished rows; ``RunResult.adopt_aggregate`` takes it over.
         self.columns = ResultColumns(expected_requests)
+        #: Net names by net index (the low bits of a packed per-(shard,
+        #: net) key); :meth:`record_interval` indexes names on first sight.
+        self.net_names: list[str] = []
+        self._net_index: dict[str, int] = {}
 
     # -- recording (hot path) ---------------------------------------------
     def record_interval(
@@ -259,6 +277,10 @@ class AggregatingTracer:
                 state.rpc_entry(rpc_id)[_R_SERDE] += duration
         elif layer is _OPERATOR:
             state.cpu_ops += cpu
+            if category is _SPARSE:
+                state.sparse_op_cpu += cpu
+            else:
+                state.dense_op_cpu += cpu
             if shard == MAIN_SHARD:
                 if batch is not None:
                     if batch >= len(state.batch_dense):
@@ -271,6 +293,15 @@ class AggregatingTracer:
                 state.rpc_entry(rpc_id)[_R_OPS] += duration
                 shard_op = state.shard_op
                 shard_op[shard] = shard_op.get(shard, 0.0) + duration
+                if net is None:
+                    raise AttributionError(f"span {name}: shard operator without a net")
+                index = self._net_index.get(net)
+                if index is None:
+                    index = self._net_index[net] = len(self.net_names)
+                    self.net_names.append(net)
+                key = (shard << NET_BITS) | index
+                net_op = state.shard_net_op
+                net_op[key] = net_op.get(key, 0.0) + duration
         elif layer is _NET_OVERHEAD:
             state.cpu_service += cpu
             if shard == MAIN_SHARD:
@@ -363,6 +394,12 @@ class AggregatingTracer:
             cpu_service = state.cpu_service
             cpu_total = 0 + cpu_ops + cpu_serde + cpu_service
 
+            names = self.net_names
+            shard_net_op = {
+                (packed >> NET_BITS, names[packed & _NET_MASK]): value
+                for packed, value in state.shard_net_op.items()
+            }
+
             workload_ids = self.workload_ids
             chaos_flags = self.chaos_flags
             resilience_flags = self.resilience_flags
@@ -371,6 +408,10 @@ class AggregatingTracer:
                 0 if workload_ids is None else int(workload_ids[request_id]),
                 e2e,
                 cpu_total,
+                state.num_batches,
+                state.rpcs,
+                state.sparse_op_cpu,
+                state.dense_op_cpu,
                 (
                     dense, embedded, serde, rpc_service, overhead,
                     emb_sparse, emb_serde, emb_service, emb_overhead, emb_network,
@@ -378,6 +419,7 @@ class AggregatingTracer:
                 ),
                 state.shard_cpu,
                 state.shard_op,
+                shard_net_op,
                 None if chaos_flags is None else chaos_flags.get(request_id),
                 None if resilience_flags is None else resilience_flags.get(request_id),
             )

@@ -2,11 +2,12 @@
 
 :class:`ResultColumns` is the one definition of the columnar layout a
 :class:`~repro.experiments.runner.RunResult` exposes: E2E latency,
-aggregate CPU, request id, workload index, the chaos flags (status,
-degraded, retries), the resilience flags (attempts, hedged,
-deadline_exceeded), the 13 stack columns, and the per-shard CPU-demand
-and sparse-op-time columns.  FULL mode writes it from each retained
-:class:`~repro.tracing.attribution.RequestAttribution`
+aggregate CPU, request id, workload index, batch and RPC counts, sparse
+and dense operator CPU, the chaos flags (status, degraded, retries), the
+resilience flags (attempts, hedged, deadline_exceeded), the 13 stack
+columns, and the per-shard CPU-demand, per-shard sparse-op-time and
+per-(shard, net) sparse-op-time columns.  FULL mode writes it from each
+retained :class:`~repro.tracing.attribution.RequestAttribution`
 (``RunResult.add``); AGGREGATE mode writes it from the span-free bucket
 sums (:meth:`~repro.tracing.aggregate.AggregatingTracer.finalize_request`)
 and the result adopts the tracer's store as is.
@@ -18,7 +19,8 @@ shard the request never touched) reads exactly 0.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Hashable, Mapping, Sequence
+from typing import TypeVar
 
 import numpy as np
 
@@ -37,12 +39,18 @@ STACK_KEYS: tuple[tuple[str, str], ...] = tuple(
     (kind, bucket) for kind, buckets in STACK_BUCKETS.items() for bucket in buckets
 )
 
+Key = TypeVar("Key", bound=Hashable)
+
 #: Per-row scalar columns and their dtypes.
 _ROW_COLUMNS: dict[str, type] = {
     "e2e": np.float64,
     "cpu": np.float64,
     "request_ids": np.int64,
     "workloads": np.int64,
+    "num_batches": np.int64,
+    "rpcs": np.int64,
+    "sparse_op_cpu": np.float64,
+    "dense_op_cpu": np.float64,
     "status": np.int64,
     "degraded": np.int64,
     "retries": np.int64,
@@ -67,6 +75,13 @@ class ResultColumns:
     request_ids: np.ndarray
     #: Index into the run's workload labels; 0 for single-workload runs.
     workloads: np.ndarray
+    #: Batches the request was split into, and client RPCs it issued.
+    num_batches: np.ndarray
+    rpcs: np.ndarray
+    #: Operator CPU-seconds by category over every shard: SLS ops, and
+    #: every other (dense) op.
+    sparse_op_cpu: np.ndarray
+    dense_op_cpu: np.ndarray
     status: np.ndarray
     degraded: np.ndarray
     retries: np.ndarray
@@ -82,10 +97,12 @@ class ResultColumns:
         #: One array per :data:`STACK_KEYS` entry, in that order.
         self.stacks = {key: np.zeros(capacity) for key in STACK_KEYS}
         #: Per-shard columns keyed by shard index (``MAIN_SHARD`` = -1):
-        #: CPU-seconds by shard and sparse-operator time by sparse shard.
-        #: Created on a shard's first row.
+        #: CPU-seconds by shard and sparse-operator time by sparse shard;
+        #: and sparse-operator time keyed by ``(sparse shard, net name)``.
+        #: Created on a key's first row.
         self.shard_cpu: dict[int, np.ndarray] = {}
         self.shard_op: dict[int, np.ndarray] = {}
+        self.shard_net_op: dict[tuple[int, str], np.ndarray] = {}
 
     def append(
         self,
@@ -93,9 +110,14 @@ class ResultColumns:
         workload: int,
         e2e: float,
         cpu: float,
+        num_batches: int,
+        rpcs: int,
+        sparse_op_cpu: float,
+        dense_op_cpu: float,
         stack: Sequence[float],
         shard_cpu: Mapping[int, float],
         shard_op: Mapping[int, float],
+        shard_net_op: Mapping[tuple[int, str], float],
         chaos: Sequence[int] | None = None,
         resilience: Sequence[int] | None = None,
     ) -> None:
@@ -113,6 +135,10 @@ class ResultColumns:
         self.cpu[index] = cpu
         self.request_ids[index] = request_id
         self.workloads[index] = workload
+        self.num_batches[index] = num_batches
+        self.rpcs[index] = rpcs
+        self.sparse_op_cpu[index] = sparse_op_cpu
+        self.dense_op_cpu[index] = dense_op_cpu
         if chaos is not None:
             degraded, retries = chaos
             self.status[index] = 1 if degraded else 0
@@ -128,6 +154,7 @@ class ResultColumns:
         capacity = len(self.e2e)
         _scatter(self.shard_cpu, shard_cpu, index, capacity)
         _scatter(self.shard_op, shard_op, index, capacity)
+        _scatter(self.shard_net_op, shard_net_op, index, capacity)
         self.count = index + 1
 
     def _grow(self) -> None:
@@ -143,9 +170,9 @@ class ResultColumns:
         for name in _ROW_COLUMNS:
             setattr(self, name, grown(getattr(self, name)))
         self.stacks = {key: grown(column) for key, column in self.stacks.items()}
-        for columns in (self.shard_cpu, self.shard_op):
-            for shard, column in columns.items():
-                columns[shard] = grown(column)
+        for columns in (self.shard_cpu, self.shard_op, self.shard_net_op):
+            for key, column in columns.items():
+                columns[key] = grown(column)
 
     def stack_columns(self, kind: str) -> dict[str, np.ndarray]:
         """The written rows of each ``kind`` bucket's column."""
@@ -156,15 +183,15 @@ class ResultColumns:
 
 
 def _scatter(
-    columns: dict[int, np.ndarray],
-    values: Mapping[int, float],
+    columns: dict[Key, np.ndarray],
+    values: Mapping[Key, float],
     index: int,
     capacity: int,
 ) -> None:
-    """Write ``values`` (shard -> value) into row ``index`` of the
-    per-shard ``columns``, creating a zero column for a new shard."""
-    for shard, value in values.items():
-        column = columns.get(shard)
+    """Write ``values`` (key -> value) into row ``index`` of the keyed
+    ``columns``, creating a zero column for a new key."""
+    for key, value in values.items():
+        column = columns.get(key)
         if column is None:
-            column = columns[shard] = np.zeros(capacity)
+            column = columns[key] = np.zeros(capacity)
         column[index] = value

@@ -515,7 +515,9 @@ class TestDrainOnAbort:
         class Boom(RuntimeError):
             pass
 
-        cluster = ClusterSimulation(model, plan, ServingConfig())
+        cluster = ClusterSimulation(
+            model, plan, ServingConfig(trace_mode=TraceMode.FULL)
+        )
         completed = []
 
         def on_complete(request_id: int) -> None:

@@ -22,11 +22,26 @@ from repro.planning import (
     memory_efficiency_vs_singular,
     plan_replication,
 )
-from repro.serving import ServingConfig
+from repro.serving import ServingConfig, TraceMode
 from repro.sharding import SINGULAR, estimate_pooling_factors
 
 
 SETTINGS = SuiteSettings(num_requests=40, pooling_requests=150)
+
+#: The three paths a figure input can come from: FULL attributions on the
+#: reference kernel, AGGREGATE on the reference kernel, and the default
+#: (vectorized columnar replay, AGGREGATE).
+FIGURE_PATHS = {
+    "full": SuiteSettings(
+        num_requests=40, pooling_requests=150,
+        kernel="reference", trace_mode=TraceMode.FULL,
+    ),
+    "aggregate-reference": SuiteSettings(
+        num_requests=40, pooling_requests=150,
+        kernel="reference", trace_mode=TraceMode.AGGREGATE,
+    ),
+    "vectorized": SETTINGS,
+}
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +52,15 @@ def drm1_model():
 @pytest.fixture(scope="module")
 def drm1_results(drm1_model):
     return run_suite(drm1_model, SETTINGS)
+
+
+@pytest.fixture(scope="module")
+def drm1_by_path(drm1_model, drm1_results):
+    """DRM1 suite results from each of :data:`FIGURE_PATHS`."""
+    return {
+        path: drm1_results if settings is SETTINGS else run_suite(drm1_model, settings)
+        for path, settings in FIGURE_PATHS.items()
+    }
 
 
 @pytest.fixture(scope="module")
@@ -67,13 +91,15 @@ class TestRunner:
     def test_suite_covers_all_configs(self, drm1_results):
         assert len(drm1_results) == 11
         for result in drm1_results.values():
-            assert len(result.attributions) == 40
+            assert len(result) == 40
+            # The default path: columnar replay, no retained attributions.
+            assert result.kernel_used == "vectorized"
+            assert result.attributions == []
 
     def test_same_requests_all_configs(self, drm1_results):
         """Every config replays the identical request sample."""
         batch_counts = {
-            label: [a.num_batches for a in r.attributions]
-            for label, r in drm1_results.items()
+            label: r.num_batches.tolist() for label, r in drm1_results.items()
         }
         reference = batch_counts[SINGULAR]
         for label, counts in batch_counts.items():
@@ -87,7 +113,8 @@ class TestRunner:
             ServingConfig(seed=1, service_workers=2),
             ReplaySchedule.open_loop(qps=100.0, seed=5),
         )
-        assert len(result.attributions) == len(requests)
+        assert len(result) == len(requests)
+        assert result.kernel_used == "batched"
 
     def test_result_arrays(self, drm1_results):
         result = drm1_results[SINGULAR]
@@ -161,13 +188,22 @@ class TestFigureGenerators:
         assert artifact.data["features_x"] >= 9.0
         assert "Figure 1" in artifact.text
 
-    def test_fig4(self, drm1_results, drm1_model):
-        artifact = figures.fig4_operator_attribution(
-            {"DRM1": drm1_results[SINGULAR]}, {"DRM1": drm1_model}
-        )
+    @pytest.mark.parametrize("path", FIGURE_PATHS)
+    def test_fig4(self, drm1_by_path, drm1_model, path):
+        def fig4(results):
+            return figures.fig4_operator_attribution(
+                {"DRM1": results[SINGULAR]}, {"DRM1": drm1_model}
+            )
+
+        results = drm1_by_path[path]
+        # Only the FULL path retains attributions; fig4 must not need them.
+        assert bool(results[SINGULAR].attributions) == (path == "full")
+        artifact = fig4(results)
         shares = artifact.data["shares"]["DRM1"]
         assert sum(shares.values()) == pytest.approx(1.0, rel=1e-6)
         assert 0.02 < shares["Sparse"] < 0.25
+        assert artifact.text == fig4(drm1_by_path["full"]).text
+        assert shares == fig4(drm1_by_path["full"]).data["shares"]["DRM1"]
 
     def test_fig5(self, drm1_model):
         artifact = figures.fig5_table_size_distribution(
@@ -206,20 +242,29 @@ class TestFigureGenerators:
         dist = sum(artifact.data["stacks"]["load-bal 8 shards"].values())
         assert dist > base
 
-    def test_fig10_net_skew(self, drm1_results):
-        artifact = figures.fig10_per_shard_by_net(drm1_results)
+    @pytest.mark.parametrize("path", FIGURE_PATHS)
+    def test_fig10_net_skew(self, drm1_by_path, path):
+        artifact = figures.fig10_per_shard_by_net(drm1_by_path[path])
         nsbp = artifact.data["per_shard"]["NSBP 8 shards"]
         by_net = {}
         for (shard, net), value in nsbp.items():
             by_net.setdefault(net, []).append(value)
         # NSBP: net1 shards carry far more operator work than net2 shards.
         assert max(by_net["net1"]) > 5 * max(by_net["net2"])
+        full = figures.fig10_per_shard_by_net(drm1_by_path["full"])
+        assert artifact.data["peak"] > 0.0
+        assert artifact.text == full.text
+        assert artifact.data == full.data
 
-    def test_fig12(self, drm1_results):
-        artifact = figures.fig12_per_shard_by_strategy(drm1_results)
+    @pytest.mark.parametrize("path", FIGURE_PATHS)
+    def test_fig12(self, drm1_by_path, path):
+        artifact = figures.fig12_per_shard_by_strategy(drm1_by_path[path])
         assert set(artifact.data["per_shard"]) == {
             "load-bal 8 shards", "cap-bal 8 shards", "NSBP 8 shards"
         }
+        full = figures.fig12_per_shard_by_strategy(drm1_by_path["full"])
+        assert artifact.text == full.text
+        assert artifact.data == full.data
 
     def test_fig11(self, drm3_results):
         artifact = figures.fig11_drm3_per_shard(drm3_results)

@@ -8,7 +8,7 @@ from repro.core.types import GIB
 from repro.models import drm1, drm3
 from repro.requests import RequestGenerator
 from repro.planning import SlaPolicy, evaluate_sla, sla_sweep
-from repro.serving import ClusterSimulation, ServingConfig
+from repro.serving import ClusterSimulation, ServingConfig, TraceMode
 from repro.sharding import (
     AutoShardObjective,
     STRATEGIES,
@@ -25,7 +25,9 @@ def traced_request():
     request = RequestGenerator(model, seed=3).generate(0)
     pooling = estimate_pooling_factors(model, 100, seed=42)
     plan = STRATEGIES["load-bal"].build_plan(model, 4, pooling)
-    sim = ClusterSimulation(model, plan, ServingConfig(seed=1))
+    sim = ClusterSimulation(
+        model, plan, ServingConfig(seed=1, trace_mode=TraceMode.FULL)
+    )
     sim.run_serial([request])
     return sim.tracer.for_request(0)
 

@@ -47,8 +47,10 @@ from repro.sharding.pooling import clear_pooling_cache
 from repro.tracing import AggregatingTracer, attribute_request
 from repro.tracing.columns import STACK_KEYS
 
+# FULL: these tests compare the columns with retained attributions.
 SETTINGS = SuiteSettings(
-    num_requests=25, pooling_requests=120, serving=ServingConfig(seed=1)
+    num_requests=25, pooling_requests=120,
+    serving=ServingConfig(seed=1, trace_mode=TraceMode.FULL),
 )
 
 
@@ -247,6 +249,18 @@ class TestColumnarRunResult:
         assert np.array_equal(
             result.cpu, np.array([a.cpu_total for a in result.attributions])
         )
+        for name in ("num_batches", "rpcs", "sparse_op_cpu", "dense_op_cpu"):
+            assert np.array_equal(
+                getattr(result, name),
+                np.array([getattr(a, name) for a in result.attributions]),
+            ), name
+        totals = {}
+        for attribution in result.attributions:
+            for key, value in attribution.per_shard_net_op_time.items():
+                totals[key] = totals.get(key, 0.0) + value
+        assert totals and result.mean_per_shard_net_op_time() == {
+            key: total / 25 for key, total in sorted(totals.items())
+        }
         for kind in ("latency", "embedded", "cpu"):
             columns = result.stack_columns(kind)
             for i, attribution in enumerate(result.attributions):
@@ -274,7 +288,9 @@ class TestColumnarRunResult:
             estimate_pooling_factors(model, num_requests=120, seed=42),
         )
         serving = ServingConfig(seed=1, trace_mode=mode)
-        expected = run_configuration(model, plan, requests, ServingConfig(seed=1))
+        expected = run_configuration(
+            model, plan, requests, ServingConfig(seed=1, trace_mode=TraceMode.FULL)
+        )
 
         result = RunResult(model.name, plan.label, plan, expected_requests=4)
         if mode is TraceMode.AGGREGATE:
@@ -294,20 +310,32 @@ class TestColumnarRunResult:
         assert np.array_equal(result.e2e, expected.e2e)
         assert np.array_equal(result.cpu, expected.cpu)
         assert np.array_equal(result.request_ids, expected.request_ids)
+        for name in ("num_batches", "rpcs", "sparse_op_cpu", "dense_op_cpu"):
+            assert np.array_equal(getattr(result, name), getattr(expected, name))
         for kind in ("latency", "embedded", "cpu"):
             for bucket, column in result.stack_columns(kind).items():
                 assert np.array_equal(column, expected.stack_columns(kind)[bucket])
         assert result.mean_cpu_by_shard() == expected.mean_cpu_by_shard()
         assert result.mean_per_shard_op_time() == expected.mean_per_shard_op_time()
+        assert (
+            result.mean_per_shard_net_op_time()
+            == expected.mean_per_shard_net_op_time()
+        )
 
         # A shard first seen after the growth steps: its column starts
         # zero for every earlier row and stays so through the next growth.
         stack = (0.0,) * len(STACK_KEYS)
-        columns.append(1000, 0, 1.0, 1.0, stack, {99: 1.5}, {99: 2.5})
+        columns.append(
+            1000, 0, 1.0, 1.0, 1, 0, 0.5, 0.5, stack,
+            {99: 1.5}, {99: 2.5}, {(99, "net1"): 3.5},
+        )
         while len(columns.e2e) == 64:
-            columns.append(1001, 0, 1.0, 1.0, stack, {}, {})
-        for shard_columns, value in ((columns.shard_cpu, 1.5), (columns.shard_op, 2.5)):
-            column = shard_columns[99]
+            columns.append(1001, 0, 1.0, 1.0, 1, 0, 0.5, 0.5, stack, {}, {}, {})
+        for column, value in (
+            (columns.shard_cpu[99], 1.5),
+            (columns.shard_op[99], 2.5),
+            (columns.shard_net_op[99, "net1"], 3.5),
+        ):
             assert len(column) == 128
             assert not column[:40].any()
             assert column[40] == value

@@ -74,7 +74,11 @@ def assert_run_identical(ref, new, label=""):
     assert np.array_equal(ref.degraded, new.degraded), label
     assert np.array_equal(ref.retries, new.retries), label
     assert np.array_equal(ref.workloads, new.workloads), label
+    for name in ("num_batches", "rpcs", "sparse_op_cpu", "dense_op_cpu"):
+        assert np.array_equal(getattr(ref, name), getattr(new, name)), (label, name)
     assert ref.mean_cpu_by_shard() == new.mean_cpu_by_shard(), label
+    assert ref.mean_per_shard_op_time() == new.mean_per_shard_op_time(), label
+    assert ref.mean_per_shard_net_op_time() == new.mean_per_shard_net_op_time(), label
     assert ref.chaos_timeline == new.chaos_timeline, label
     assert ref.incomplete_requests == new.incomplete_requests, label
 
@@ -86,10 +90,15 @@ def assert_suites_identical(ref, new):
 
 
 def settings(kernel=None, trace_mode=None, num_requests=20, **serving_kwargs):
+    """Suite settings on the reference oracle (reference kernel, FULL
+    trace) unless ``kernel``/``trace_mode`` override it."""
     return SuiteSettings(
         num_requests=num_requests,
         pooling_requests=150,
-        serving=ServingConfig(seed=1, **serving_kwargs),
+        serving=ServingConfig(
+            seed=1, kernel="reference", trace_mode=TraceMode.FULL,
+            **serving_kwargs,
+        ),
         trace_mode=trace_mode,
         kernel=kernel,
     )
@@ -99,8 +108,11 @@ class TestKernelSelection:
     def test_make_engine_kernels(self):
         assert type(make_engine("reference")) is Engine
         assert isinstance(make_engine("batched"), BatchedEngine)
-        assert DEFAULT_KERNEL == "reference"
+        assert DEFAULT_KERNEL == "vectorized"
         assert DEFAULT_KERNEL in KERNELS and "batched" in KERNELS
+        # The fast path is the default: columnar replay, span-free tracing.
+        assert ServingConfig().kernel == DEFAULT_KERNEL
+        assert ServingConfig().trace_mode is TraceMode.AGGREGATE
 
     def test_vectorized_kernel_registered(self):
         assert "vectorized" in KERNELS
@@ -163,10 +175,11 @@ class TestPaperConfigurationEquivalence:
                 ),
                 schedule=ReplaySchedule.open_loop(25.0, seed=2),
                 kernel=kernel,
+                trace_mode=TraceMode.FULL,
             )
 
         assert_suites_identical(
-            run_suite(model, contended(None)),
+            run_suite(model, contended("reference")),
             run_suite(model, contended("batched")),
         )
 
@@ -287,7 +300,7 @@ class TestVectorizedEquivalence:
             )
 
         assert_suites_identical(
-            run_suite(model, skewed(None)),
+            run_suite(model, skewed("reference")),
             run_suite(model, skewed("vectorized")),
         )
 
@@ -328,7 +341,9 @@ class TestVectorizedFallback:
         assert result.kernel_fallback == REASON_CHAOS
 
     def test_full_trace_falls_back(self):
-        result = self._replay(ServingConfig(seed=1, kernel="vectorized"))
+        result = self._replay(
+            ServingConfig(seed=1, kernel="vectorized", trace_mode=TraceMode.FULL)
+        )
         assert result.kernel_used == "batched"
         assert result.kernel_fallback == REASON_FULL_TRACE
 
@@ -345,18 +360,22 @@ class TestVectorizedFallback:
                 ),
             )
         )
-        results = run_mix_suite(
-            mix,
-            SuiteSettings(
-                num_requests=10, pooling_requests=150,
-                serving=ServingConfig(seed=1),
-                trace_mode=TraceMode.AGGREGATE, kernel="vectorized",
-            ),
-            (ShardingConfiguration("load-bal", 2),),
-        )
+        def mix_suite(kernel, trace_mode):
+            return run_mix_suite(
+                mix,
+                SuiteSettings(
+                    num_requests=10, pooling_requests=150,
+                    serving=ServingConfig(seed=1),
+                    trace_mode=trace_mode, kernel=kernel,
+                ),
+                (ShardingConfiguration("load-bal", 2),),
+            )
+
+        results = mix_suite("vectorized", TraceMode.AGGREGATE)
         for result in results.values():
             assert result.kernel_used == "batched"
             assert result.kernel_fallback == REASON_MIX
+        assert_suites_identical(mix_suite("reference", TraceMode.FULL), results)
 
     def test_eligible_run_takes_the_fast_path(self):
         result = self._replay(

@@ -39,6 +39,12 @@ from repro.workloads import (
 SETTINGS = SuiteSettings(
     num_requests=25, pooling_requests=100, serving=ServingConfig(seed=1)
 )
+FULL_SETTINGS = SuiteSettings(
+    num_requests=25,
+    pooling_requests=100,
+    serving=ServingConfig(seed=1),
+    trace_mode=TraceMode.FULL,
+)
 AGGREGATE_SETTINGS = SuiteSettings(
     num_requests=25,
     pooling_requests=100,
@@ -76,7 +82,7 @@ SMALL_SPACE = CandidateSpace(
 def suite_pair():
     """The DRM1 paper sweep in both trace modes (shared across tests)."""
     model = drm1()
-    return model, run_suite(model, SETTINGS), run_suite(model, AGGREGATE_SETTINGS)
+    return model, run_suite(model, FULL_SETTINGS), run_suite(model, AGGREGATE_SETTINGS)
 
 
 class TestPerShardColumns:
@@ -99,17 +105,24 @@ class TestPerShardColumns:
         for label, result in full.items():
             cpu_totals: dict[int, float] = {}
             op_totals: dict[int, float] = {}
+            net_totals: dict[tuple[int, str], float] = {}
             for attribution in result.attributions:
                 for shard, value in attribution.per_shard_cpu.items():
                     cpu_totals[shard] = cpu_totals.get(shard, 0.0) + value
                 for shard, value in attribution.per_shard_op_time.items():
                     op_totals[shard] = op_totals.get(shard, 0.0) + value
+                for key, value in attribution.per_shard_net_op_time.items():
+                    net_totals[key] = net_totals.get(key, 0.0) + value
             count = len(result.attributions)
+            assert count == 25, label
             assert result.mean_cpu_by_shard() == {
                 shard: total / count for shard, total in sorted(cpu_totals.items())
             }, label
             assert result.mean_per_shard_op_time() == {
                 shard: total / count for shard, total in sorted(op_totals.items())
+            }, label
+            assert result.mean_per_shard_net_op_time() == {
+                key: total / count for key, total in sorted(net_totals.items())
             }, label
 
     def test_per_workload_demand_partitions_the_mix(self):

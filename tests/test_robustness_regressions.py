@@ -1,12 +1,16 @@
 """Regression tests for runner/replayer edge cases fixed alongside the
 trace-mode fast path: empty-run per-shard means, REPRO_REQUESTS
-validation, replay-schedule seeding, and the degenerate behaviors of the
-median-window stack means.
+validation, replay-schedule seeding, the degenerate behaviors of the
+median-window stack means, and where benchmark smoke runs write.
 """
+
+import json
+import os
 
 import numpy as np
 import pytest
 
+from repro.analysis.bench import RECORD_ENV, load_benchmark, record_benchmark
 from repro.analysis.quantiles import median_window_mean, median_window_mean_columns
 from repro.experiments import default_num_requests
 from repro.experiments.runner import REQUESTS_ENV, RunResult
@@ -35,6 +39,25 @@ class TestEmptyRunResult:
         for kind in ("latency", "embedded", "cpu"):
             for column in empty_result.stack_columns(kind).values():
                 assert column.size == 0
+
+
+class TestBenchmarkSmokeOutput:
+    """A test run never rewrites the committed ``results/BENCH_*.json``."""
+
+    def test_smoke_run_writes_under_smoke_dir(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(RECORD_ENV, raising=False)
+        path = record_benchmark("demo", {"rps": 1.0}, results_dir=str(tmp_path))
+        assert path == os.path.join(str(tmp_path), "smoke", "BENCH_demo.json")
+        assert not (tmp_path / "BENCH_demo.json").exists()
+        assert load_benchmark(path)["metrics"] == {"rps": 1.0}
+
+    def test_recording_run_writes_the_committed_path(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(RECORD_ENV, "1")
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        path = record_benchmark("demo", {"rps": 2.0})
+        assert path == os.path.join(str(tmp_path), "BENCH_demo.json")
+        with open(path) as handle:
+            assert json.load(handle)["benchmark"] == "demo"
 
 
 class TestDefaultNumRequests:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.models import drm1, drm3
 from repro.requests import RequestGenerator, ReplaySchedule
-from repro.serving import ClusterSimulation, ServingConfig
+from repro.serving import ClusterSimulation, ServingConfig, TraceMode
 from repro.sharding import STRATEGIES, estimate_pooling_factors, singular_plan
 from repro.tracing import Layer, MAIN_SHARD, attribute_request
 
@@ -26,7 +26,9 @@ def pooling(model):
 
 
 def run(model, plan, requests, config=None):
-    sim = ClusterSimulation(model, plan, config or ServingConfig(seed=1))
+    """Replay with span retention: these tests read the spans."""
+    config = (config or ServingConfig(seed=1)).with_trace_mode(TraceMode.FULL)
+    sim = ClusterSimulation(model, plan, config)
     sim.run_serial(requests)
     return sim
 
@@ -139,7 +141,9 @@ class TestDeterminismAndOrdering:
             assert next_start >= prev_end
 
     def test_open_loop_overlaps_under_load(self, model, requests):
-        config = ServingConfig(seed=1, service_workers=2)
+        config = ServingConfig(
+            seed=1, service_workers=2, trace_mode=TraceMode.FULL
+        )
         sim = ClusterSimulation(model, singular_plan(model), config)
         sim.run_open_loop(requests, ReplaySchedule.open_loop(qps=2000.0, seed=4))
         windows = []

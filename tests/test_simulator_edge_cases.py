@@ -15,7 +15,7 @@ from repro.models.config import (
 )
 from repro.requests import ReplaySchedule, RequestGenerator
 from repro.requests.generator import Request
-from repro.serving import ClusterSimulation, ServingConfig
+from repro.serving import ClusterSimulation, ServingConfig, TraceMode
 from repro.sharding import STRATEGIES, ShardingError, singular_plan
 from repro.sharding.plan import ShardingPlan, ShardSpec, TableAssignment
 from repro.tracing import Layer, MAIN_SHARD, attribute_request
@@ -63,7 +63,9 @@ class TestBoundaryModels:
         requests = generator.generate_many(5)
         assert all(not r.draws for r in requests)
         plan = STRATEGIES["1-shard"].build_plan(model, 1)
-        sim = ClusterSimulation(model, plan, ServingConfig(seed=1))
+        sim = ClusterSimulation(
+            model, plan, ServingConfig(seed=1, trace_mode=TraceMode.FULL)
+        )
         sim.run_serial(requests)
         for request in requests:
             att = attribute_request(sim.tracer.pop_request(request.request_id))
@@ -75,7 +77,9 @@ class TestBoundaryModels:
         requests = RequestGenerator(model, seed=3).generate_many(5)
         fat = [r for r in requests if r.num_items > 200]
         assert fat
-        config = ServingConfig(seed=1, service_workers=1)
+        config = ServingConfig(
+            seed=1, service_workers=1, trace_mode=TraceMode.FULL
+        )
         sim = ClusterSimulation(model, singular_plan(model), config)
         sim.run_serial(fat)
         spans = sim.tracer.for_request(fat[0].request_id)
@@ -93,7 +97,9 @@ class TestBoundaryModels:
         requests = RequestGenerator(model, seed=3).generate_many(5)
         pooling = {t.name: 1.0 for t in model.tables}
         plan = STRATEGIES["load-bal"].build_plan(model, 4, pooling)
-        config = ServingConfig(seed=1, clock_skew_sigma=10.0)  # +/- tens of s
+        config = ServingConfig(  # +/- tens of s
+            seed=1, clock_skew_sigma=10.0, trace_mode=TraceMode.FULL
+        )
         sim = ClusterSimulation(model, plan, config)
         sim.run_serial(requests)
         for request in requests:
@@ -142,7 +148,9 @@ class TestTracerVolume:
         requests = RequestGenerator(model, seed=3).generate_many(20)
         pooling = {t.name: 1.0 for t in model.tables}
         plan = STRATEGIES["load-bal"].build_plan(model, 4, pooling)
-        sim = ClusterSimulation(model, plan, ServingConfig(seed=1))
+        sim = ClusterSimulation(
+            model, plan, ServingConfig(seed=1, trace_mode=TraceMode.FULL)
+        )
         popped = []
         sim.on_complete = lambda rid: popped.append(
             len(sim.tracer.pop_request(rid))

@@ -18,11 +18,17 @@ from repro.serving import ClusterSimulation, ServingConfig, TraceMode
 from repro.sharding import singular_plan
 from repro.tracing import AggregatingTracer, MAIN_SHARD, Layer, Span, Tracer
 
-SERIAL = SuiteSettings(num_requests=25, pooling_requests=150, serving=ServingConfig(seed=1))
+# Both on the reference kernel, so only the trace mode differs.
+SERIAL = SuiteSettings(
+    num_requests=25,
+    pooling_requests=150,
+    serving=ServingConfig(seed=1, kernel="reference"),
+    trace_mode=TraceMode.FULL,
+)
 AGGREGATE = SuiteSettings(
     num_requests=25,
     pooling_requests=150,
-    serving=ServingConfig(seed=1),
+    serving=ServingConfig(seed=1, kernel="reference"),
     trace_mode=TraceMode.AGGREGATE,
 )
 
@@ -38,12 +44,16 @@ def assert_results_identical(full, aggregate):
         for column in (
             "request_ids", "workloads", "status", "degraded", "retries",
             "attempts", "hedged", "deadline_exceeded",
+            "num_batches", "rpcs", "sparse_op_cpu", "dense_op_cpu",
         ):
             assert np.array_equal(getattr(f, column), getattr(a, column)), (
                 label, column,
             )
         assert f.mean_cpu_by_shard() == a.mean_cpu_by_shard(), label
         assert f.mean_per_shard_op_time() == a.mean_per_shard_op_time(), label
+        assert (
+            f.mean_per_shard_net_op_time() == a.mean_per_shard_net_op_time()
+        ), label
         for kind in ("latency", "embedded", "cpu"):
             full_cols = f.stack_columns(kind)
             agg_cols = a.stack_columns(kind)
@@ -68,14 +78,15 @@ class TestAggregateEquivalence:
                 num_requests=40,
                 pooling_requests=150,
                 serving=ServingConfig(
-                    seed=1, service_workers=2, clock_skew_sigma=0.002
+                    seed=1, service_workers=2, clock_skew_sigma=0.002,
+                    kernel="reference",
                 ),
                 schedule=ReplaySchedule.open_loop(25.0, seed=2),
                 trace_mode=mode,
             )
 
         assert_results_identical(
-            run_suite(model, settings(None)),
+            run_suite(model, settings(TraceMode.FULL)),
             run_suite(model, settings(TraceMode.AGGREGATE)),
         )
 
@@ -97,8 +108,11 @@ class TestAggregateEquivalence:
             # without retained attributions...
             assert result.mean_per_shard_op_time() == full[label].mean_per_shard_op_time()
             assert result.mean_cpu_by_shard() == full[label].mean_cpu_by_shard()
-            # ...while the per-(shard, net) breakdown still needs FULL.
-            assert result.mean_per_shard_net_op_time() == {}
+            # ...and so is the per-(shard, net) breakdown (Figure 10).
+            assert (
+                result.mean_per_shard_net_op_time()
+                == full[label].mean_per_shard_net_op_time()
+            )
 
     def test_trace_mode_threads_through_serving_config(self):
         config = ServingConfig(seed=1, trace_mode=TraceMode.AGGREGATE)
@@ -135,7 +149,10 @@ class TestTracerDrained:
         """A request that never completes must be freed at end of replay."""
         model = drm1()
         requests = RequestGenerator(model, seed=3).generate_many(4)
-        cluster = ClusterSimulation(model, singular_plan(model), ServingConfig(seed=1))
+        cluster = ClusterSimulation(
+            model, singular_plan(model),
+            ServingConfig(seed=1, trace_mode=TraceMode.FULL),
+        )
         cluster.on_complete = lambda rid: cluster.tracer.pop_request(rid)
         # Simulate a request that timed out mid-flight: its spans are in
         # the tracer but pop_request never ran for it.

@@ -6,7 +6,7 @@ import pytest
 from repro.core.types import OpCategory
 from repro.models import drm1
 from repro.requests import RequestGenerator
-from repro.serving import ClusterSimulation, ServingConfig
+from repro.serving import ClusterSimulation, ServingConfig, TraceMode
 from repro.sharding import STRATEGIES, estimate_pooling_factors, singular_plan
 from repro.tracing import (
     AttributionError,
@@ -85,7 +85,9 @@ def traced_runs():
         ("singular", singular_plan(model)),
         ("load-bal-4", STRATEGIES["load-bal"].build_plan(model, 4, pooling)),
     ):
-        sim = ClusterSimulation(model, plan, ServingConfig(seed=1))
+        sim = ClusterSimulation(
+            model, plan, ServingConfig(seed=1, trace_mode=TraceMode.FULL)
+        )
         sim.run_serial(requests)
         runs[label] = (sim, requests)
     return runs
@@ -152,7 +154,9 @@ class TestClockSkewInvariance:
         requests = RequestGenerator(model, seed=3).generate_many(12)
         pooling = estimate_pooling_factors(model, num_requests=150, seed=42)
         plan = STRATEGIES["load-bal"].build_plan(model, 4, pooling)
-        config = ServingConfig(seed=1, clock_skew_sigma=skew_sigma)
+        config = ServingConfig(
+            seed=1, clock_skew_sigma=skew_sigma, trace_mode=TraceMode.FULL
+        )
         sim = ClusterSimulation(model, plan, config)
         sim.run_serial(requests)
         return [
@@ -178,7 +182,9 @@ class TestClockSkewInvariance:
         requests = RequestGenerator(model, seed=3).generate_many(2)
         pooling = estimate_pooling_factors(model, num_requests=50, seed=42)
         plan = STRATEGIES["load-bal"].build_plan(model, 4, pooling)
-        config = ServingConfig(seed=1, clock_skew_sigma=0.25)
+        config = ServingConfig(
+            seed=1, clock_skew_sigma=0.25, trace_mode=TraceMode.FULL
+        )
         sim = ClusterSimulation(model, plan, config)
         sim.run_serial(requests)
         spans = sim.tracer.for_request(requests[0].request_id)

@@ -337,7 +337,11 @@ class TestColocatedCluster:
         """Acceptance: two-model diurnal mix, FULL == AGGREGATE columns
         including the per-workload label column."""
         mix = small_mix()
-        full = run_mix_suite(mix, SETTINGS, TWO_CONFIGS)
+        full = run_mix_suite(
+            mix,
+            dataclasses.replace(SETTINGS, trace_mode=TraceMode.FULL),
+            TWO_CONFIGS,
+        )
         aggregate = run_mix_suite(
             mix,
             dataclasses.replace(SETTINGS, trace_mode=TraceMode.AGGREGATE),
@@ -351,6 +355,13 @@ class TestColocatedCluster:
             assert np.array_equal(f.cpu, a.cpu), label
             assert np.array_equal(f.workloads, a.workloads), label
             assert f.workload_labels == a.workload_labels == ("ranking", "retrieval")
+            for name in ("num_batches", "rpcs", "sparse_op_cpu", "dense_op_cpu"):
+                assert np.array_equal(getattr(f, name), getattr(a, name)), (
+                    label, name,
+                )
+            assert (
+                f.mean_per_shard_net_op_time() == a.mean_per_shard_net_op_time()
+            ), label
             for kind in ("latency", "embedded", "cpu"):
                 full_cols = f.stack_columns(kind)
                 agg_cols = a.stack_columns(kind)
