@@ -35,16 +35,16 @@ def record_benchmark(
 ) -> str:
     """Write ``BENCH_<name>.json`` and return its path.
 
-    The file lands in the results directory (``results_dir``, else
-    ``REPRO_RESULTS_DIR``, else ``results``) when ``REPRO_BENCH_RECORD=1``
-    and in its ``smoke/`` subdirectory otherwise.  ``metrics`` must be
+    The file lands in the results directory (as
+    :func:`~repro.analysis.report.save_artifact` resolves it) when
+    ``REPRO_BENCH_RECORD=1`` and in its ``smoke/`` subdirectory otherwise.  ``metrics`` must be
     JSON-serializable.  A small environment header (python version,
     platform, request-count knob, wall time) is added so numbers from
     different machines are not compared blindly.
     """
-    directory = results_dir or os.environ.get("REPRO_RESULTS_DIR", "results")
+    filename = f"BENCH_{name}.json"
     if os.environ.get(RECORD_ENV) != "1":
-        directory = os.path.join(directory, SMOKE_DIR)
+        filename = os.path.join(SMOKE_DIR, filename)
     payload = {
         "benchmark": name,
         # Benchmark artifacts are *about* the host, so the wall-clock
@@ -57,8 +57,8 @@ def record_benchmark(
         "metrics": metrics,
     }
     return save_artifact(
-        f"BENCH_{name}.json", json.dumps(payload, indent=2, sort_keys=True),
-        results_dir=directory,
+        filename, json.dumps(payload, indent=2, sort_keys=True),
+        results_dir=results_dir,
     )
 
 

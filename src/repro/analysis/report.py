@@ -133,10 +133,14 @@ CAPACITY_SIZING_HEADERS = [
 
 
 def save_artifact(name: str, content: str, results_dir: str | None = None) -> str:
-    """Write an artifact under ``results/`` and return its path."""
+    """Write an artifact under ``results/`` and return its path.
+
+    The directory is ``results_dir``, else ``REPRO_RESULTS_DIR``, else
+    ``results``; ``name`` may carry a subdirectory, which is created.
+    """
     directory = results_dir or os.environ.get("REPRO_RESULTS_DIR", "results")
-    os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, name)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as handle:
         handle.write(content)
         handle.write("\n")

@@ -30,6 +30,7 @@ from repro.tracing.attribution import (
     E2E_BUCKETS,
     EMBEDDED_BUCKETS,
 )
+from repro.tracing.columns import sequential_sum
 
 
 @dataclass
@@ -73,12 +74,6 @@ def fig1_model_growth() -> FigureArtifact:
 
 
 # -- Figure 4 -------------------------------------------------------------------
-def _sequential_total(values: np.ndarray) -> float:
-    """Left-to-right sum of a column (``np.sum``'s pairwise order would
-    change the bits the committed figure text rounds from)."""
-    return float(np.cumsum(values)[-1]) if len(values) else 0.0
-
-
 def fig4_operator_attribution(
     singular_results: dict[str, RunResult], models: dict[str, ModelConfig]
 ) -> FigureArtifact:
@@ -89,8 +84,8 @@ def fig4_operator_attribution(
     """
     shares: dict[str, dict[str, float]] = {}
     for name, result in singular_results.items():
-        sparse = _sequential_total(result.sparse_op_cpu)
-        dense = _sequential_total(result.dense_op_cpu)
+        sparse = sequential_sum(result.sparse_op_cpu)
+        dense = sequential_sum(result.dense_op_cpu)
         total = sparse + dense
         mix = models[name].nets[0].op_mix
         model_shares = {"Sparse": sparse / total}

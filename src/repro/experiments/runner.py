@@ -16,7 +16,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from collections.abc import Hashable
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from repro.sharding.plan import ShardingPlan
 from repro.sharding.pooling import estimate_pooling_factors
 from repro.tracing.aggregate import AggregatingTracer, TraceMode
 from repro.tracing.attribution import RequestAttribution, attribute_request
-from repro.tracing.columns import Key, ResultColumns
+from repro.tracing.columns import ResultColumns, sequential_sum
 from repro.workloads.arrivals import ArrivalProcess
 from repro.workloads.workload import MixedStream, WorkloadMix
 from repro.experiments.configs import (
@@ -37,6 +38,9 @@ from repro.experiments.configs import (
     mix_configurations,
     paper_configurations,
 )
+
+#: A per-shard column key: a shard index, or a ``(shard, net name)`` pair.
+Key = TypeVar("Key", bound=Hashable)
 
 #: Environment knob: request count per configuration in suites/benches.
 REQUESTS_ENV = "REPRO_REQUESTS"
@@ -173,7 +177,10 @@ class RunResult:
             ),
             attribution.per_shard_cpu,
             attribution.per_shard_op_time,
-            attribution.per_shard_net_op_time,
+            {
+                self.columns.net_key(shard, net): value
+                for (shard, net), value in attribution.per_shard_net_op_time.items()
+            },
             (degraded, retries) if degraded or retries else None,
             (attempts, hedged, deadline_exceeded)
             if attempts or hedged or deadline_exceeded
@@ -315,17 +322,18 @@ class RunResult:
     ) -> dict[Key, float]:
         """Per-key column means over completed requests, sorted by key.
 
-        Sums are strictly sequential in completion order (``np.cumsum``),
-        reproducing the historical per-attribution Python accumulation
-        bit-for-bit; untouched requests contribute exact ``+0.0`` terms,
-        which never perturb a float sum.
+        Sums are strictly sequential in completion order
+        (:func:`~repro.tracing.columns.sequential_sum`), reproducing the
+        historical per-attribution Python accumulation bit-for-bit;
+        untouched requests contribute exact ``+0.0`` terms, which never
+        perturb a float sum.
         """
         count = len(self)
         if count == 0 or not cols:
             return {}
         if workload is None:
             return {
-                key: float(np.cumsum(cols[key][:count])[-1]) / count
+                key: sequential_sum(cols[key][:count]) / count
                 for key in sorted(cols)
             }
         mask = self.workload_mask(workload)
@@ -333,7 +341,7 @@ class RunResult:
         if selected == 0:
             return {}
         return {
-            key: float(np.cumsum(cols[key][:count][mask])[-1]) / selected
+            key: sequential_sum(cols[key][:count][mask]) / selected
             for key in sorted(cols)
         }
 
@@ -356,7 +364,7 @@ class RunResult:
         """Mean per-(shard, net) sparse-operator time, sorted by
         ``(shard, net name)`` (both trace modes, Figure 10); ``{}`` when
         no request completed."""
-        return self._mean_shard_columns(self.columns.shard_net_op, None)
+        return self._mean_shard_columns(self.columns.net_op_columns(), None)
 
 
 def run_configuration(

@@ -551,8 +551,7 @@ def run_vectorized(
     holds the finished aggregate columns (``RunResult.adopt_aggregate``
     consumes it); the cluster is returned for its timeline accessors.
     """
-    collector = VectorizedColumns(expected_requests=len(requests))
-    collector.net_names = [net.name for net in model.nets]
+    collector = VectorizedColumns(len(requests), [net.name for net in model.nets])
     cluster = ClusterSimulation(model, plan, serving, tracer=collector)
     tenant = cluster.tenants[0]
     evaluator = SweepEvaluator(

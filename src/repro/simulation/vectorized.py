@@ -76,11 +76,13 @@ paper configuration, all ``RunResult`` columns, serial and parallel).
 from __future__ import annotations
 
 import heapq
+from collections.abc import Sequence
 
 from repro.simulation.costmodel import CostModel
 from repro.simulation.network import Fabric
 from repro.simulation.platform import Platform
-from repro.tracing.aggregate import NET_BITS, AggregatingTracer, _RequestState
+from repro.tracing.aggregate import AggregatingTracer, _RequestState
+from repro.tracing.columns import NET_BITS
 from repro.tracing.span import MAIN_SHARD
 
 # Record kinds: a compact re-encoding of the (layer, shard, category)
@@ -211,9 +213,10 @@ class VectorizedColumns(AggregatingTracer):
     :meth:`~repro.tracing.aggregate.AggregatingTracer.finalize_request`.
     Every ``+=`` below textually mirrors a ``record_interval`` branch;
     the record list arrives sorted in reference recording order, so the
-    float-accumulation order is the reference order.  Per-(shard, net)
-    keys pack the record's net index, which indexes :attr:`net_names`
-    (set once per run to the model's net names, in plan order).
+    float-accumulation order is the reference order.  A record's net
+    index (its position in ``net_names``, the model's net order) maps to
+    the store's net id once per run, so per-(shard, net) keys are packed
+    as :meth:`~repro.tracing.columns.ResultColumns.net_key` packs them.
     """
 
     #: Per-RPC fixed service cost (the rpc_e2e record's cpu, fused into
@@ -222,6 +225,10 @@ class VectorizedColumns(AggregatingTracer):
     #: Set once per run by :class:`SweepEvaluator`.
     service_fixed: float = 0.0
     handler_cpu: float = 0.0
+
+    def __init__(self, expected_requests: int, net_names: Sequence[str]):
+        super().__init__(expected_requests)
+        self._net_ids = tuple(self.columns.net_id(name) for name in net_names)
 
     def fold_request(
         self,
@@ -265,6 +272,7 @@ class VectorizedColumns(AggregatingTracer):
         shard_cpu = state.shard_cpu
         shard_op = state.shard_op
         net_op = state.shard_net_op
+        net_ids = self._net_ids
         service_fixed = self.service_fixed
         # The request deserialization is always the first record (its
         # reference time precedes every batch-chain record) and the
@@ -296,7 +304,7 @@ class VectorizedColumns(AggregatingTracer):
                     cpu_ops += cpu
                     sparse_op_cpu += cpu
                     shard_op[shard] = op_get(shard, 0.0) + dur
-                    packed = (shard << NET_BITS) | ((key >> 20) & 63)
+                    packed = (shard << NET_BITS) | net_ids[(key >> 20) & 63]
                     net_op[packed] = net_get(packed, 0.0) + dur
                 elif kind == 4:
                     # rpc_resp_ser (serde cpu) + rpc_e2e (fixed service

@@ -70,13 +70,6 @@ _SPARSE = OpCategory.SPARSE
 # Indices into a live-RPC accumulator entry [ops, serde, overhead, service].
 _R_OPS, _R_SERDE, _R_OVERHEAD, _R_SERVICE = 0, 1, 2, 3
 
-# Per-(shard, net) op-time accumulators are keyed by the packed int
-# ``shard << NET_BITS | net index`` (no tuple per record); finalization
-# unpacks each key to its ``(shard, net name)`` column key, once per
-# request.
-NET_BITS = 16
-_NET_MASK = (1 << NET_BITS) - 1
-
 
 class _RequestState:
     """Bucket accumulators for one in-flight request (pooled/reused)."""
@@ -112,7 +105,7 @@ class _RequestState:
     def __init__(self):
         self.shard_cpu: dict[int, float] = {}
         self.shard_op: dict[int, float] = {}
-        self.shard_net_op: dict[int, float] = {}
+        self.shard_net_op: dict[int, float] = {}  # by ResultColumns.net_key
         self.batch_dense: list[float] = []
         self.batch_embedded: list[float] = []
         self.batch_serde: list[float] = []
@@ -211,10 +204,6 @@ class AggregatingTracer:
         self._last_state: _RequestState | None = None
         #: The finished rows; ``RunResult.adopt_aggregate`` takes it over.
         self.columns = ResultColumns(expected_requests)
-        #: Net names by net index (the low bits of a packed per-(shard,
-        #: net) key); :meth:`record_interval` indexes names on first sight.
-        self.net_names: list[str] = []
-        self._net_index: dict[str, int] = {}
 
     # -- recording (hot path) ---------------------------------------------
     def record_interval(
@@ -295,11 +284,7 @@ class AggregatingTracer:
                 shard_op[shard] = shard_op.get(shard, 0.0) + duration
                 if net is None:
                     raise AttributionError(f"span {name}: shard operator without a net")
-                index = self._net_index.get(net)
-                if index is None:
-                    index = self._net_index[net] = len(self.net_names)
-                    self.net_names.append(net)
-                key = (shard << NET_BITS) | index
+                key = self.columns.net_key(shard, net)
                 net_op = state.shard_net_op
                 net_op[key] = net_op.get(key, 0.0) + duration
         elif layer is _NET_OVERHEAD:
@@ -394,12 +379,6 @@ class AggregatingTracer:
             cpu_service = state.cpu_service
             cpu_total = 0 + cpu_ops + cpu_serde + cpu_service
 
-            names = self.net_names
-            shard_net_op = {
-                (packed >> NET_BITS, names[packed & _NET_MASK]): value
-                for packed, value in state.shard_net_op.items()
-            }
-
             workload_ids = self.workload_ids
             chaos_flags = self.chaos_flags
             resilience_flags = self.resilience_flags
@@ -419,7 +398,7 @@ class AggregatingTracer:
                 ),
                 state.shard_cpu,
                 state.shard_op,
-                shard_net_op,
+                state.shard_net_op,
                 None if chaos_flags is None else chaos_flags.get(request_id),
                 None if resilience_flags is None else resilience_flags.get(request_id),
             )

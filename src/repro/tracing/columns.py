@@ -15,12 +15,16 @@ and the result adopts the tracer's store as is.
 Every array starts zero-filled and grows by doubling, so a row a request
 never writes (a flag column of an unflagged request, a shard column of a
 shard the request never touched) reads exactly 0.
+
+Per-(shard, net) columns are keyed by one packed int per key (see
+:meth:`ResultColumns.net_key`), so writers accumulate them without a
+tuple per record; only :meth:`ResultColumns.net_op_columns` spells the
+keys out as ``(shard, net name)``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Mapping, Sequence
-from typing import TypeVar
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
@@ -39,7 +43,19 @@ STACK_KEYS: tuple[tuple[str, str], ...] = tuple(
     (kind, bucket) for kind, buckets in STACK_BUCKETS.items() for bucket in buckets
 )
 
-Key = TypeVar("Key", bound=Hashable)
+#: A packed per-(shard, net) key is ``shard << NET_BITS | net id``.
+NET_BITS = 16
+_NET_MASK = (1 << NET_BITS) - 1
+
+
+def sequential_sum(values: np.ndarray) -> float:
+    """Left-to-right float sum of a column; 0.0 when empty.
+
+    Column sums are taken in completion order (``np.cumsum``), which
+    reproduces a plain Python ``+=`` loop bit for bit; ``np.sum``'s
+    pairwise order would change the low bits the figures round from.
+    """
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 #: Per-row scalar columns and their dtypes.
 _ROW_COLUMNS: dict[str, type] = {
@@ -98,11 +114,36 @@ class ResultColumns:
         self.stacks = {key: np.zeros(capacity) for key in STACK_KEYS}
         #: Per-shard columns keyed by shard index (``MAIN_SHARD`` = -1):
         #: CPU-seconds by shard and sparse-operator time by sparse shard;
-        #: and sparse-operator time keyed by ``(sparse shard, net name)``.
+        #: and sparse-operator time by packed (sparse shard, net) key.
         #: Created on a key's first row.
         self.shard_cpu: dict[int, np.ndarray] = {}
         self.shard_op: dict[int, np.ndarray] = {}
-        self.shard_net_op: dict[tuple[int, str], np.ndarray] = {}
+        self.shard_net_op: dict[int, np.ndarray] = {}
+        #: Net names by net id (the low bits of a packed key), in
+        #: registration order, and the reverse map.
+        self.net_names: list[str] = []
+        self.net_ids: dict[str, int] = {}
+
+    def net_id(self, name: str) -> int:
+        """The id of net ``name``, registering the name on first use."""
+        net_id = self.net_ids.get(name)
+        if net_id is None:
+            net_id = self.net_ids[name] = len(self.net_names)
+            self.net_names.append(name)
+        return net_id
+
+    def net_key(self, shard: int, name: str) -> int:
+        """The packed per-(shard, net) column key of ``(shard, name)``."""
+        return (shard << NET_BITS) | self.net_id(name)
+
+    def net_op_columns(self) -> dict[tuple[int, str], np.ndarray]:
+        """The per-(shard, net) sparse-op-time columns keyed by
+        ``(shard, net name)``."""
+        names = self.net_names
+        return {
+            (key >> NET_BITS, names[key & _NET_MASK]): column
+            for key, column in self.shard_net_op.items()
+        }
 
     def append(
         self,
@@ -117,7 +158,7 @@ class ResultColumns:
         stack: Sequence[float],
         shard_cpu: Mapping[int, float],
         shard_op: Mapping[int, float],
-        shard_net_op: Mapping[tuple[int, str], float],
+        shard_net_op: Mapping[int, float],
         chaos: Sequence[int] | None = None,
         resilience: Sequence[int] | None = None,
     ) -> None:
@@ -126,7 +167,8 @@ class ResultColumns:
         ``stack`` holds the 13 stack values in :data:`STACK_KEYS` order.
         ``chaos`` is the request's ``[degraded, retries]`` and
         ``resilience`` its ``[attempts, hedged, deadline_exceeded]``;
-        ``None`` leaves those columns 0.
+        ``None`` leaves those columns 0.  ``shard_net_op`` is keyed by
+        :meth:`net_key`.
         """
         index = self.count
         if index == len(self.e2e):
@@ -183,8 +225,8 @@ class ResultColumns:
 
 
 def _scatter(
-    columns: dict[Key, np.ndarray],
-    values: Mapping[Key, float],
+    columns: dict[int, np.ndarray],
+    values: Mapping[int, float],
     index: int,
     capacity: int,
 ) -> None:

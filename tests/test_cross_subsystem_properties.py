@@ -17,7 +17,7 @@ from repro.analysis import overhead_vs_baseline, quantile
 from repro.models import drm1, drm2, drm3
 from repro.requests import RequestGenerator
 from repro.requests.generator import Request
-from repro.serving import ClusterSimulation, ServingConfig
+from repro.serving import ClusterSimulation, ServingConfig, TraceMode
 from repro.serving.simulator import _Batch
 from repro.sharding import (
     STRATEGIES,
@@ -152,16 +152,21 @@ class TestEndToEndDeterminism:
 
         def run_once():
             result = run_configuration(
-                model, plan, requests, ServingConfig(seed=1)
+                model, plan, requests,
+                ServingConfig(seed=1, trace_mode=TraceMode.FULL),
             )
-            return [a.e2e for a in result.attributions], [
-                a.cpu_total for a in result.attributions
-            ]
+            assert len(result) == len(result.attributions) == 10
+            return result
 
-        first_e2e, first_cpu = run_once()
-        second_e2e, second_cpu = run_once()
-        assert first_e2e == second_e2e
-        assert first_cpu == second_cpu
+        first, second = run_once(), run_once()
+        assert np.array_equal(first.e2e, second.e2e)
+        assert np.array_equal(first.cpu, second.cpu)
+        assert [a.e2e for a in first.attributions] == [
+            a.e2e for a in second.attributions
+        ]
+        assert [a.cpu_total for a in first.attributions] == [
+            a.cpu_total for a in second.attributions
+        ]
 
     def test_request_sample_independent_of_plan(self, models, poolings):
         """Plans must not perturb the request stream (same draws seen)."""

@@ -325,16 +325,17 @@ class TestColumnarRunResult:
         # A shard first seen after the growth steps: its column starts
         # zero for every earlier row and stays so through the next growth.
         stack = (0.0,) * len(STACK_KEYS)
+        net_key = columns.net_key(99, "net1")
         columns.append(
             1000, 0, 1.0, 1.0, 1, 0, 0.5, 0.5, stack,
-            {99: 1.5}, {99: 2.5}, {(99, "net1"): 3.5},
+            {99: 1.5}, {99: 2.5}, {net_key: 3.5},
         )
         while len(columns.e2e) == 64:
             columns.append(1001, 0, 1.0, 1.0, 1, 0, 0.5, 0.5, stack, {}, {}, {})
         for column, value in (
             (columns.shard_cpu[99], 1.5),
             (columns.shard_op[99], 2.5),
-            (columns.shard_net_op[99, "net1"], 3.5),
+            (columns.net_op_columns()[99, "net1"], 3.5),
         ):
             assert len(column) == 128
             assert not column[:40].any()

@@ -286,7 +286,7 @@ class TestCapacityPlanner:
 
         mix = small_mix()
         return {
-            "full": build(None).plan(mix),
+            "full": build(TraceMode.FULL).plan(mix),
             "aggregate": build(TraceMode.AGGREGATE).plan(mix),
             "parallel": build(TraceMode.AGGREGATE).plan(
                 mix, parallel=True, max_workers=2
